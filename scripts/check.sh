@@ -22,6 +22,7 @@ python -m repro corpus fuzz --iterations 50 --seed 7
 
 echo "== perf smoke =="
 python -m repro bench --smoke --no-history
+python -m pytest -q perfbench
 
 echo "== sweep service smoke =="
 python -m pytest -x -q tests/service

@@ -19,7 +19,7 @@ pick it up automatically.
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Protocol, Union, runtime_checkable)
+                    Protocol, Sequence, Union, runtime_checkable)
 
 import numpy as np
 
@@ -35,14 +35,24 @@ class BackscatterSession(Protocol):
     """Structural interface every registered session must satisfy.
 
     The link simulator and experiment engine only touch this surface:
-    they never see the per-radio PHY chains behind it.
+    they never see the per-radio PHY chains behind it.  Packets run in
+    two phases: ``predraw_packet`` makes every RNG draw of one packet,
+    then ``channel_packets`` / ``decode_packets`` / ``finish_packet``
+    finish any number of pending draws as stacked arrays.
     """
 
     oversample_factor: int
     sample_rate_hz: float
+    #: Packets the link simulator stacks per channel/decode pass.
+    _chunk_packets: int
 
     def capacity_bits(self) -> int:
         """Tag bits carried by one excitation packet."""
+        ...
+
+    def make_excitation(self,
+                        rng: Optional[np.random.Generator] = None) -> Any:
+        """Draw one excitation packet, reusable across packets."""
         ...
 
     def run_packet(self, snr_db: float, tag_bits: Any = None,
@@ -50,6 +60,26 @@ class BackscatterSession(Protocol):
                    rng: Optional[np.random.Generator] = None,
                    excitation: Any = None) -> Any:
         """One excitation packet end-to-end; returns a SessionResult."""
+        ...
+
+    def predraw_packet(self, snr_db: float, tag_bits: Any = None,
+                       incident_power_dbm: Optional[float] = None,
+                       rng: Optional[np.random.Generator] = None,
+                       excitation: Any = None) -> Any:
+        """Phase 1: every RNG draw of one packet; returns a PacketDraw
+        (already final when the packet was gated before the channel)."""
+        ...
+
+    def channel_packets(self, draws: Sequence[Any]) -> List[Any]:
+        """Tag modulation and noise for every pending draw, stacked."""
+        ...
+
+    def decode_packets(self, draws: Sequence[Any]) -> List[Any]:
+        """Stacked receiver decode; one decode per draw."""
+        ...
+
+    def finish_packet(self, draw: Any, decoded: Any) -> Any:
+        """One draw plus its decode as a SessionResult."""
         ...
 
 

@@ -41,7 +41,6 @@ from repro.obs.metrics import (
     set_gauge,
     span,
     timed,
-    tracing_active,
 )
 from repro.obs.progress import ProgressJournal, monotonic_s, read_progress
 from repro.obs.report import render_report
@@ -54,4 +53,4 @@ __all__ = ["DEFAULT_LATENCY_BUCKETS", "Gauge", "Histogram",
            "inc", "monotonic_s", "observe", "observe_hist",
            "packet_event", "parse_prometheus_text", "prometheus_text",
            "read_progress", "read_trace", "registry", "render_report",
-           "set_gauge", "span", "timed", "tracing_active"]
+           "set_gauge", "span", "timed"]

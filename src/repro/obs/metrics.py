@@ -52,9 +52,9 @@ from repro.obs import forensics
 
 __all__ = ["TimerStat", "Gauge", "Histogram", "DEFAULT_LATENCY_BUCKETS",
            "TraceConfig", "MetricsRegistry", "registry",
-           "global_registry", "collect", "collect_into", "tracing_active",
-           "timed", "inc", "observe", "observe_hist", "set_gauge",
-           "add_gauge", "span", "event", "packet_event"]
+           "global_registry", "collect", "collect_into", "timed", "inc",
+           "observe", "observe_hist", "set_gauge", "add_gauge", "span",
+           "event", "packet_event"]
 
 
 @dataclass
@@ -580,12 +580,6 @@ def collect_into(reg: MetricsRegistry) -> Iterator[MetricsRegistry]:
         # remove() drops the first (bottom-most) occurrence, which keeps
         # nested re-entries of the same registry balanced.
         _STACK.remove(reg)
-
-
-def tracing_active() -> bool:
-    """Whether the active registry records spans/events — callers use
-    this to keep trace-faithful per-point code paths when tracing."""
-    return registry().trace is not None
 
 
 def timed(name: str, hist: Optional[str] = None) -> "_ActiveTimer":

@@ -33,7 +33,6 @@ _STAGE_COUNTERS: Tuple[str, ...] = tuple(
 
 COUNTERS: Tuple[str, ...] = (
     "engine.batch.aborted",
-    "engine.batch.points",
     "engine.pool.submit_errors",
     "engine.pool.terminate_errors",
     "engine.progress.errors",
@@ -50,7 +49,6 @@ COUNTERS: Tuple[str, ...] = (
     "mac.slots.singles",
     "phy.*.encode_cached",
     "phy.*.packets",
-    "phy.batch.fallback",
     "service.cache.hits",
     "service.cache.misses",
     "service.cache.obs_warnings",

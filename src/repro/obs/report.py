@@ -159,34 +159,6 @@ def _forensics_section(record: Mapping[str, Any], fmt: str) -> List[str]:
     return lines
 
 
-def _batching_section(record: Mapping[str, Any], fmt: str) -> List[str]:
-    """Surface the batch-path health counters, most importantly the
-    silent-scalar-fallback count: a run that asked for batching but
-    fell back (``phy.batch.fallback``) is correct yet several times
-    slower, which is worth a loud line rather than a missing one."""
-    metrics = record.get("metrics")
-    if not isinstance(metrics, Mapping):
-        return []
-    counters = metrics.get("counters")
-    if not isinstance(counters, Mapping):
-        return []
-    fallbacks = int(counters.get("phy.batch.fallback", 0))
-    batched = int(counters.get("engine.batch.points", 0))
-    if not fallbacks and not batched:
-        return []
-    lines = _heading("Batching", fmt)
-    if batched:
-        lines.append(f"- cross-point batched tasks: {batched}")
-    if fallbacks:
-        lines.append(f"- WARNING: batch requested but the session fell "
-                     f"back to the scalar loop {fallbacks} time(s) "
-                     f"(phy.batch.fallback) — results are identical but "
-                     f"several times slower; the session lacks the "
-                     f"two-phase batch API")
-    lines.append("")
-    return lines
-
-
 def _per_point_section(rows: Sequence[Mapping[str, Any]],
                        fmt: str, source: str) -> List[str]:
     """Per-point stage breakdown from journal rows or task records."""
@@ -370,7 +342,6 @@ def render_report(record: Optional[Mapping[str, Any]] = None,
         lines += ["Run report", ""]
     lines += _summary_section(record, fmt)
     lines += _forensics_section(record, fmt)
-    lines += _batching_section(record, fmt)
     if journal_rows:
         lines += _per_point_section(journal_rows, fmt, "checkpoint journal")
     else:

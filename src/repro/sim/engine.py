@@ -18,6 +18,16 @@ order, or on which attempt it finally succeeded — so ``n_jobs=1`` and
 ``n_jobs=8`` agree point-for-point, and a retried task reproduces the
 exact point an unfailed run would have produced.
 
+Execution
+---------
+Every task runs as part of a *shard* through one dispatcher, on a
+process pool or on an in-process executor (``n_jobs=1``).  A serial run
+with no deadline sends all pending tasks as one shard, so a link sweep
+stacks its packets across points
+(:meth:`~repro.sim.linksim.LinkSimulator.simulate_points`); otherwise
+each task is its own shard.  A multi-task shard that fails is split
+into single-task shards, so failures land on the task that caused them.
+
 Fault tolerance
 ---------------
 Worker exceptions and overrunning tasks no longer lose the sweep.  A
@@ -83,13 +93,15 @@ import os
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -338,14 +350,15 @@ class FailurePolicy:
         Upper bound on one attempt's *execution* time — queue wait never
         counts, because the engine keeps at most ``n_jobs`` attempts on
         the active pool and requeues (rather than times out) anything
-        that never started.  In-process (``n_jobs=1``) execution cannot
-        be interrupted, so the bound is checked after the attempt
-        finishes ("soft") and is not retried (an identical deterministic
-        rerun cannot get faster) unless a fault injector is present.
-        Pool workers are abandoned at the deadline (attempt classified
-        ``timeout``, retried normally): the engine replaces the worker
-        pool so the hung process cannot occupy a slot, and kills it at
-        pool shutdown.
+        that never started.  An attempt that finished, but late, is a
+        *soft* timeout: it is retried only under a fault injector,
+        because without one a rerun repeats the identical deterministic
+        computation.  In-process (``n_jobs=1``) attempts cannot be
+        interrupted, so they only time out softly.  A pool worker still
+        executing at the deadline is a *hard* timeout: it is abandoned
+        and the attempt retried up to ``max_attempts``; the engine
+        replaces the worker pool so the hung process cannot occupy a
+        slot, and kills it at pool shutdown.
     """
 
     mode: str = "fail_fast"
@@ -774,40 +787,79 @@ def _simulator_for(spec: ExperimentSpec):
     return sim
 
 
-def _run_link_point(spec: ExperimentSpec, distance_m: float,
-                    seed_seq: np.random.SeedSequence):
-    sim = _simulator_for(spec)
-    rng = np.random.default_rng(seed_seq)
-    return sim.simulate_point(distance_m, rng=rng, share_excitation=True)
+#: One task of a shard: ``(task index, task value, seed, attempt)``.
+_ShardItem = Tuple[int, Any, np.random.SeedSequence, int]
+#: A shard as the dispatcher tracks it: ``(task index, attempt)`` pairs.
+_Shard = Tuple[Tuple[int, int], ...]
 
 
-def _run_mac_point(spec: MacExperimentSpec, n_tags: int,
-                   seed_seq: np.random.SeedSequence):
+def _run_shard(spec: Spec, items: Sequence[_ShardItem],
+               injector: Optional[FaultInjector],
+               trace: Optional[TraceConfig]
+               ) -> Tuple[List[Tuple[Any, Dict[str, Any], float]],
+                          Dict[str, Any]]:
+    """One attempt of a shard of tasks, in-process or in a pool worker.
+
+    Each task records into its own registry: its ``engine.task`` span,
+    its injector call, its phase-1 draws and its packets' finish, so
+    per-task stage counts and trace events do not depend on how the
+    tasks were sharded.  A link shard stacks the channel and decode
+    across its tasks through
+    :meth:`~repro.sim.linksim.LinkSimulator.simulate_points`; that
+    shared work records into the shard's registry.  A MAC shard runs
+    its tasks in order.
+
+    Returns one ``(point, task snapshot, duration_s)`` per item, where
+    the duration is the shard's wall time split evenly over its tasks,
+    plus the shard's snapshot.  Any exception fails the whole shard.
+    """
+    from repro import obs
     from repro.sim.macsim import MacExperiment
 
-    exp = MacExperiment(config=spec.config,
-                        measured_rounds=spec.measured_rounds,
-                        simulated_rounds=spec.simulated_rounds)
-    return exp.run_point(n_tags, rng=np.random.default_rng(seed_seq))
-
-
-def _execute_task(spec: Spec, task, seed_seq: np.random.SeedSequence,
-                  task_index: int, attempt: int,
-                  injector: Optional[FaultInjector],
-                  trace: Optional[TraceConfig] = None):
-    """One attempt of one task: returns (point, metrics snapshot, dur)."""
-    from repro import obs
-
     start = time.perf_counter()
-    with obs.collect(trace=trace) as reg:
-        with reg.span("engine.task", task=task_index, attempt=attempt):
+    regs = [MetricsRegistry(trace=trace) for _ in items]
+    rngs = [np.random.default_rng(seed) for (_, _, seed, _) in items]
+    with ExitStack() as task_spans, obs.collect() as shared:
+        for (i, _, _, attempt), reg in zip(items, regs):
+            task_spans.enter_context(
+                reg.span("engine.task", task=i, attempt=attempt))
             if injector is not None:
-                injector.apply(task_index, attempt)
-            if isinstance(spec, ExperimentSpec):
-                point = _run_link_point(spec, task, seed_seq)
-            else:
-                point = _run_mac_point(spec, task, seed_seq)
-    return point, reg.snapshot(), time.perf_counter() - start
+                injector.apply(i, attempt)
+        if isinstance(spec, ExperimentSpec):
+            points = _simulator_for(spec).simulate_points(
+                [value for (_, value, _, _) in items], rngs=rngs,
+                share_excitation=True, registries=regs)
+        else:
+            exp = MacExperiment(config=spec.config,
+                                measured_rounds=spec.measured_rounds,
+                                simulated_rounds=spec.simulated_rounds)
+            points = []
+            for (_, n_tags, _, _), rng, reg in zip(items, rngs, regs):
+                with obs.collect_into(reg):
+                    points.append(exp.run_point(n_tags, rng=rng))
+    duration = (time.perf_counter() - start) / len(items)
+    return ([(point, reg.snapshot(), duration)
+             for point, reg in zip(points, regs)], shared.snapshot())
+
+
+class _InlineExecutor:
+    """In-process stand-in for :class:`ProcessPoolExecutor`: ``submit``
+    runs the call at once and returns its completed future, so inline
+    runs go through the same dispatcher as pool runs."""
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
+        fut: "Future[Any]" = Future()
+        try:
+            fut.set_result(fn(*args))
+        # Broad by design: the future carries whatever the shard raised,
+        # exactly as a pool worker's future does.
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait: bool = True,
+                 cancel_futures: bool = False) -> None:
+        return None
 
 
 # -- the engine -----------------------------------------------------------
@@ -824,7 +876,8 @@ class ExperimentEngine:
     Parameters
     ----------
     n_jobs:
-        Worker processes.  ``1`` executes inline (no pool, no pickling);
+        Worker processes.  ``1`` executes in-process (no pool, no
+        pickling);
         ``None`` picks :func:`default_n_jobs`.  Any value yields
         bit-identical results thanks to per-task seed spawning.
     failure_policy:
@@ -924,14 +977,8 @@ class ExperimentEngine:
             with metrics.span("engine.run", spec=fingerprint,
                               n_tasks=len(tasks), n_jobs=self.n_jobs):
                 if pending:
-                    if self.n_jobs == 1 or len(pending) == 1:
-                        self._run_inline(spec, tasks, children, pending,
-                                         points, records, journal, metrics,
-                                         tracker)
-                    else:
-                        self._run_pool(spec, tasks, children, pending,
-                                       points, records, journal, metrics,
-                                       tracker)
+                    self._run_tasks(spec, tasks, children, pending, points,
+                                    records, journal, metrics, tracker)
         finally:
             tracker.emit("run_end", spec=fingerprint,
                          tasks_done=tracker.done, n_tasks=len(tasks),
@@ -984,138 +1031,33 @@ class ExperimentEngine:
                 f"{record.status} after {record.attempts} attempt(s): "
                 f"{record.error}")
 
-    def _classify(self, duration_s: float) -> Tuple[str, Optional[str]]:
-        """Post-hoc (soft) timeout check for completed attempts."""
-        timeout = self.failure_policy.timeout_s
-        if timeout is not None and duration_s > timeout:
-            return "timeout", (f"task exceeded timeout_s={timeout} "
-                               f"(took {duration_s:.3f}s)")
-        return "ok", None
+    # -- the dispatcher ---------------------------------------------------
 
-    # -- inline execution -------------------------------------------------
+    def _run_tasks(self, spec, tasks, children, pending,
+                   points, records, journal, metrics, tracker) -> None:
+        """Run every pending task to its final record.
 
-    def _run_inline(self, spec, tasks, children, pending,
-                    points, records, journal, metrics, tracker) -> None:
-        if (isinstance(spec, ExperimentSpec)
-                and self.fault_injector is None
-                and metrics.trace is None
-                and self.failure_policy.timeout_s is None
-                and self._run_inline_batched(spec, tasks, children, pending,
-                                             points, records, journal,
-                                             metrics, tracker)):
-            return
-        policy = self.failure_policy
-        for i in pending:
-            attempt = 1
-            while True:
-                try:
-                    point, snap, dur = _execute_task(
-                        spec, tasks[i], children[i], i, attempt,
-                        self.fault_injector, metrics.trace)
-                    status, error = self._classify(dur)
-                    if status != "ok":
-                        point, snap = None, None
-                # Broad by design: a user-supplied builder can raise
-                # anything, and the error is preserved verbatim in the
-                # task's TaskRecord rather than swallowed.
-                except Exception as exc:
-                    point, snap, dur = None, None, 0.0
-                    status = "failed"
-                    error = f"{type(exc).__name__}: {exc}"
-                    metrics.inc("engine.tasks.raised")
-                if status == "ok" or attempt >= policy.max_attempts:
-                    break
-                if status == "timeout" and self.fault_injector is None:
-                    # An inline retry reruns the identical deterministic
-                    # computation with the same seed, so a timed-out
-                    # attempt can never get faster — don't multiply the
-                    # overrun by max_attempts.  (An injector can make
-                    # slowness attempt-dependent, so retries stay live
-                    # under injection.)
-                    break
-                metrics.inc("engine.retries")
-                backoff = policy.backoff_s(attempt)
-                metrics.event("engine.retry", task=i, attempt=attempt,
-                              status=status, error=error,
-                              backoff_s=backoff)
-                if backoff:
-                    time.sleep(backoff)
-                attempt += 1
-            record = TaskRecord(index=i, task=tasks[i], status=status,
-                                attempts=attempt, duration_s=dur, error=error,
-                                spawn_key=tuple(children[i].spawn_key))
-            self._finish_task(record, point, snap, points, records,
-                              journal, metrics, tracker)
-
-    def _run_inline_batched(self, spec, tasks, children, pending,
-                            points, records, journal, metrics,
-                            tracker) -> bool:
-        """Cross-task fast path for inline link sweeps.
-
-        All pending points run through
-        :meth:`~repro.sim.linksim.LinkSimulator.simulate_points`, which
-        stacks packets *across* tasks for the channel and receiver
-        kernels while each task keeps its own spawned generator (so the
-        points are bit-identical to the per-task path and to any
-        ``n_jobs``) and its own metrics registry (so per-task
-        ``stage_counts`` stay exact).  Returns False — caller falls
-        back to the per-task loop — when the session lacks the batch
-        API or anything raises: per-task seeding makes the recomputation
-        bit-exact, and the classic loop attributes the error to its
-        task.  No bookkeeping (journal, records) happens until every
-        task has succeeded, so the fallback never sees partial state.
+        Work goes out in shards (tuples of ``(task index, attempt)``)
+        through :func:`_run_shard`, on a process pool or, when
+        ``n_jobs == 1`` or one task is pending, on an in-process
+        executor.  The shard plan follows from the inputs: in-process
+        with no ``timeout_s``, all pending tasks form one shard, so a
+        sweep stacks its packets across points; otherwise each task is
+        its own shard, so a deadline bounds one task.  A multi-task
+        shard that fails is split into single-task shards at the same
+        attempt numbers, so only per-task attempts are ever counted.
         """
-        from repro import obs
-
-        sim = _simulator_for(spec)
-        if not (getattr(sim, "batch", False)
-                and hasattr(sim.session, "predraw_packet")):
-            return False
-        regs = {i: MetricsRegistry() for i in pending}
-        start = time.perf_counter()
-        try:
-            with obs.collect() as shared:
-                results = sim.simulate_points(
-                    [tasks[i] for i in pending],
-                    rngs=[np.random.default_rng(children[i])
-                          for i in pending],
-                    share_excitation=True,
-                    registries=[regs[i] for i in pending])
-        # Broad by design: any failure routes to the classic per-task
-        # loop, which reruns deterministically and records the error
-        # against the task that raised it.
-        except Exception:
-            metrics.inc("engine.batch.aborted")
-            return False
-        total = time.perf_counter() - start
-        # Shared cross-task work (stacked channel/decode timers) is not
-        # attributable to one task; fold it straight into the run.
-        metrics.merge_snapshot(shared.snapshot(), span_prefix="engine.run")
-        metrics.inc("engine.batch.points", len(pending))
-        per_task = total / max(len(pending), 1)
-        for k, i in enumerate(pending):
-            record = TaskRecord(index=i, task=tasks[i], status="ok",
-                                attempts=1, duration_s=per_task,
-                                spawn_key=tuple(children[i].spawn_key))
-            self._finish_task(record, results[k], regs[i].snapshot(),
-                              points, records, journal, metrics, tracker)
-        return True
-
-    # -- pool execution ---------------------------------------------------
-
-    def _run_pool(self, spec, tasks, children, pending,
-                  points, records, journal, metrics, tracker) -> None:
         policy = self.failure_policy
-        workers = min(self.n_jobs, len(pending))
+        inline = self.n_jobs == 1 or len(pending) == 1
+        workers = 1 if inline else min(self.n_jobs, len(pending))
 
-        pools: List[ProcessPoolExecutor] = []   # every pool ever created
-        live: List[ProcessPoolExecutor] = []    # not yet shut down
+        live: List[Any] = []                    # not yet shut down
         tracked: Dict[Any, int] = {}            # pool -> inflight futures
         hung: Dict[Any, int] = {}               # pool -> abandoned workers
 
-        def new_pool() -> ProcessPoolExecutor:
-            p = ProcessPoolExecutor(max_workers=workers)
-            pools.append(p)
+        def new_pool() -> Any:
+            p = (_InlineExecutor() if inline
+                 else ProcessPoolExecutor(max_workers=workers))
             live.append(p)
             tracked[p] = 0
             return p
@@ -1144,16 +1086,20 @@ class ExperimentEngine:
 
         current = new_pool()
 
-        # future -> (task index, attempt, execution start time, pool).
-        # At most ``workers`` futures ride the active pool, so a
-        # submitted attempt starts executing (almost) immediately and
-        # the timeout clock only ever runs against executing attempts,
-        # never against queue wait.
-        inflight: Dict[Any, Tuple[int, int, float, Any]] = {}
-        # (task index, attempt, earliest submit time): retries carry
-        # their backoff deadline here instead of sleeping on the
-        # dispatcher thread, so collection of other futures never stalls.
-        ready: List[Tuple[int, int, float]] = [(i, 1, 0.0) for i in pending]
+        # future -> (shard, execution start time, pool).  At most
+        # ``workers`` futures ride the active pool, so a submitted
+        # attempt starts executing (almost) immediately and the timeout
+        # clock only ever runs against executing attempts, never
+        # against queue wait.
+        inflight: Dict[Any, Tuple[_Shard, float, Any]] = {}
+        # (shard, earliest submit time): retries carry their backoff
+        # deadline here instead of sleeping on the dispatcher thread, so
+        # collection of other futures never stalls.
+        ready: List[Tuple[_Shard, float]]
+        if inline and policy.timeout_s is None:
+            ready = [(tuple((i, 1) for i in pending), 0.0)]
+        else:
+            ready = [(((i, 1),), 0.0) for i in pending]
 
         def retire_current() -> None:
             nonlocal current
@@ -1165,39 +1111,49 @@ class ExperimentEngine:
         def submit_due() -> None:
             now = time.perf_counter()
             while ready and tracked[current] < workers:
-                k = next((k for k, (_, _, due) in enumerate(ready)
+                k = next((k for k, (_, due) in enumerate(ready)
                           if due <= now), None)
                 if k is None:
                     return
-                i, attempt, _ = ready.pop(k)
+                shard, _ = ready.pop(k)
+                items = [(i, tasks[i], children[i], attempt)
+                         for i, attempt in shard]
+                t0 = time.perf_counter()
                 try:
-                    fut = current.submit(_execute_task, spec, tasks[i],
-                                         children[i], i, attempt,
+                    fut = current.submit(_run_shard, spec, items,
                                          self.fault_injector, metrics.trace)
                 except (RuntimeError, OSError):
                     # BrokenProcessPool (a RuntimeError) after a crashed
                     # worker, or a dead pipe: replace the pool and
                     # resubmit there.
                     metrics.inc("engine.pool.submit_errors")
-                    ready.append((i, attempt, now))
+                    ready.append((shard, now))
                     retire_current()
                     continue
-                inflight[fut] = (i, attempt, time.perf_counter(), current)
+                inflight[fut] = (shard, t0, current)
                 tracked[current] += 1
 
-        def release(fut) -> Tuple[int, int, float, Any]:
-            i, attempt, t0, p = inflight.pop(fut)
+        def release(fut):
+            shard, t0, p = inflight.pop(fut)
             tracked[p] -= 1
-            return i, attempt, t0, p
+            return shard, t0, p
 
-        def handle_failure(i: int, attempt: int, status: str,
-                           error: str, dur: float) -> None:
-            if attempt < policy.max_attempts:
+        def handle_failure(shard: _Shard, status: str, error: str, dur: float,
+                           retry: bool = True) -> None:
+            if len(shard) > 1:
+                # Attribute the failure: rerun the shard task by task.
+                metrics.inc("engine.batch.aborted")
+                now = time.perf_counter()
+                ready.extend((((i, attempt),), now) for i, attempt in shard)
+                return
+            (i, attempt), = shard
+            if retry and attempt < policy.max_attempts:
                 metrics.inc("engine.retries")
                 backoff = policy.backoff_s(attempt)
                 metrics.event("engine.retry", task=i, attempt=attempt,
                               status=status, error=error, backoff_s=backoff)
-                ready.append((i, attempt + 1, time.perf_counter() + backoff))
+                ready.append((((i, attempt + 1),),
+                              time.perf_counter() + backoff))
                 return
             record = TaskRecord(index=i, task=tasks[i], status=status,
                                 attempts=attempt, duration_s=dur,
@@ -1212,10 +1168,10 @@ class ExperimentEngine:
                 now = time.perf_counter()
                 # Wake for whichever comes first: a backoff-delayed retry
                 # becoming due, or an executing attempt's deadline.
-                wakeups = [due for (_, _, due) in ready if due > now]
+                wakeups = [due for (_, due) in ready if due > now]
                 if policy.timeout_s is not None:
                     wakeups += [t0 + policy.timeout_s
-                                for (_, _, t0, _) in inflight.values()]
+                                for (_, t0, _) in inflight.values()]
                 if not inflight:
                     if wakeups:  # only delayed retries remain
                         time.sleep(max(min(wakeups) - now, 0.0))
@@ -1227,7 +1183,7 @@ class ExperimentEngine:
                     return_when=FIRST_COMPLETED)
                 if not done and policy.timeout_s is not None:
                     now = time.perf_counter()
-                    for fut, (i, attempt, t0, _) in list(inflight.items()):
+                    for fut, (shard, t0, _) in list(inflight.items()):
                         overdue = now - t0
                         if overdue < policy.timeout_s:
                             continue
@@ -1238,63 +1194,78 @@ class ExperimentEngine:
                             # timeout.
                             release(fut)
                             metrics.inc("engine.tasks.requeued")
-                            metrics.event("engine.requeue", task=i,
-                                          attempt=attempt)
-                            ready.append((i, attempt, now))
+                            for i, attempt in shard:
+                                metrics.event("engine.requeue", task=i,
+                                              attempt=attempt)
+                            ready.append((shard, now))
                         elif fut.done():
                             # Completed between wait() and here; the next
-                            # wait() collects it and _classify applies
-                            # the soft-timeout check to its true dur.
+                            # wait() collects it and the soft-timeout
+                            # check applies to its true duration.
                             continue
                         else:
-                            # Genuinely executing past its deadline.
-                            # Abandon the worker and retire its pool so
-                            # the hung process cannot eat a slot from
-                            # later submissions (healthy futures on the
-                            # old pool still complete normally; worker
-                            # counts may transiently exceed n_jobs).
-                            i, attempt, t0, p = release(fut)
+                            # Hard timeout: genuinely executing past its
+                            # deadline.  Abandon the worker and retire
+                            # its pool so the hung process cannot eat a
+                            # slot from later submissions (healthy
+                            # futures on the old pool still complete
+                            # normally; worker counts may transiently
+                            # exceed n_jobs).
+                            shard, t0, p = release(fut)
                             hung[p] = hung.get(p, 0) + 1
                             if p is current:
                                 retire_current()
                             elif tracked[p] == 0:
                                 shutdown_pool(p)
                             handle_failure(
-                                i, attempt, "timeout",
+                                shard, "timeout",
                                 f"attempt exceeded timeout_s="
                                 f"{policy.timeout_s} (ran {overdue:.3f}s; "
                                 f"worker abandoned)",
                                 overdue)
                 for fut in done:
-                    i, attempt, t0, p = release(fut)
+                    shard, t0, p = release(fut)
                     if p is not current and tracked[p] == 0:
                         shutdown_pool(p)
                     try:
-                        point, snap, dur = fut.result()
+                        outcomes, shared = fut.result()
                     except Exception as exc:
-                        # Broad by design: surfaces whatever the worker
-                        # raised; handle_failure records it verbatim.
-                        handle_failure(i, attempt, "failed",
+                        # Broad by design: a user-supplied builder can
+                        # raise anything; handle_failure records it
+                        # verbatim against its task.
+                        metrics.inc("engine.tasks.raised")
+                        handle_failure(shard, "failed",
                                        f"{type(exc).__name__}: {exc}",
                                        time.perf_counter() - t0)
                         continue
-                    status, error = self._classify(dur)
-                    if status != "ok":
-                        handle_failure(i, attempt, status, error, dur)
+                    dur = outcomes[0][2]
+                    if policy.timeout_s is not None and dur > policy.timeout_s:
+                        # Soft timeout: the attempt finished, but late.
+                        # A rerun repeats the same deterministic work, so
+                        # it is retried only when a fault injector makes
+                        # the delay depend on the attempt.
+                        handle_failure(
+                            shard, "timeout",
+                            f"task exceeded timeout_s={policy.timeout_s} "
+                            f"(took {dur:.3f}s)", dur,
+                            retry=self.fault_injector is not None)
                         continue
-                    record = TaskRecord(
-                        index=i, task=tasks[i], status="ok",
-                        attempts=attempt, duration_s=dur,
-                        spawn_key=tuple(children[i].spawn_key))
-                    self._finish_task(record, point, snap, points,
-                                      records, journal, metrics, tracker)
+                    # Shared cross-task work (stacked channel/decode
+                    # timers) belongs to no one task; fold it into the
+                    # run directly.
+                    metrics.merge_snapshot(shared, span_prefix="engine.run")
+                    for (i, attempt), (point, snap, dur) in zip(shard,
+                                                                 outcomes):
+                        record = TaskRecord(
+                            index=i, task=tasks[i], status="ok",
+                            attempts=attempt, duration_s=dur,
+                            spawn_key=tuple(children[i].spawn_key))
+                        self._finish_task(record, point, snap, points,
+                                          records, journal, metrics,
+                                          tracker)
         finally:
             for p in list(live):
                 shutdown_pool(p)
-
-    def run_many(self, specs) -> List[RunResult]:
-        """Execute several specs back to back (shared worker budget)."""
-        return [self.run(spec) for spec in specs]
 
 
 def run_experiment(spec: Spec, n_jobs: Optional[int] = 1,

@@ -36,14 +36,6 @@ from repro.utils.rng import derive_seed, make_rng
 
 __all__ = ["LinkPoint", "LinkSimulator"]
 
-# Fallback upper bound on waveforms held in stacked form at once during
-# cross-point batching: bounds peak memory and keeps the elementwise
-# channel math cache-resident (large stacks go memory-bound and lose to
-# the scalar loop) without changing any result — chunk boundaries only
-# regroup exact elementwise arithmetic.  Sessions carry their own tuned
-# ``_chunk_packets`` which takes precedence.
-_CHUNK_PACKETS = 16
-
 
 @dataclass
 class LinkPoint:
@@ -121,9 +113,9 @@ class LinkSimulator:
         run_packets`) instead of one at a time — and, for serial
         sweeps, stack packets *across* distance points.  Bit-identical
         to the scalar loop — all randomness is drawn in the same order —
-        and several times faster.  A session without the two-phase batch
-        API falls back to the scalar loop and counts the
-        ``phy.batch.fallback`` metric (surfaced by ``repro report``).
+        and several times faster.  ``batch=False`` runs each packet
+        through the scalar ``run_packet``: the reference the batch path
+        is tested against.
     """
 
     def __init__(self, config: RadioConfig, deployment: Deployment,
@@ -142,7 +134,7 @@ class LinkSimulator:
     def simulate_point(self, distance_m: float, *,
                        rng: Optional[np.random.Generator] = None,
                        share_excitation: bool = False) -> LinkPoint:
-        """Run one distance point.
+        """Run one distance point: :meth:`simulate_points` over one.
 
         Parameters
         ----------
@@ -157,20 +149,9 @@ class LinkSimulator:
             Statistically equivalent (tag bits, fading, sync and noise
             still vary per packet) and much faster.
         """
-        with obs.span("sim.point", distance_m=float(distance_m),
-                      packets=self.packets_per_point):
-            return self._simulate_point(distance_m, rng=rng,
-                                        share_excitation=share_excitation)
-
-    def _simulate_point(self, distance_m: float, *,
-                        rng: Optional[np.random.Generator],
-                        share_excitation: bool) -> LinkPoint:
-        gen = self._rng if rng is None else make_rng(rng)
-        pending = self._point_phase1(distance_m, gen, share_excitation)
-        if pending.draws:
-            self.session.channel_packets(pending.draws)
-            pending.results = list(self.session.finish_packets(pending.draws))
-        return self._point_finish(pending)
+        return self.simulate_points(
+            [distance_m], rngs=None if rng is None else [rng],
+            share_excitation=share_excitation)[0]
 
     def _point_phase1(self, distance_m: float, gen: np.random.Generator,
                       share_excitation: bool) -> "_PendingPoint":
@@ -179,8 +160,8 @@ class LinkSimulator:
         exactly as the scalar loop orders them.
 
         On the batch path the returned draws still await their channel
-        (``session.channel_packets``) and decode; on the scalar
-        fallback ``results`` is already complete and ``draws`` empty.
+        (``session.channel_packets``) and decode; with ``batch=False``
+        ``results`` is already complete and ``draws`` empty.
         """
         dep = self.deployment.with_rx_distance(distance_m)
         mean_rssi = self.budget.rssi_dbm(dep)
@@ -194,12 +175,6 @@ class LinkSimulator:
 
         excitation = (self.session.make_excitation(gen)
                       if share_excitation else None)
-        use_batch = self.batch and hasattr(self.session, "predraw_packet")
-        if self.batch and not use_batch:
-            # Batch requested but this session has no two-phase API —
-            # count the silent scalar fallback so `repro report` can
-            # surface it instead of quietly losing the speedup.
-            obs.inc("phy.batch.fallback")
         rssis: List[float] = []
         draws: List[Any] = []
         results: List[Any] = []
@@ -207,7 +182,7 @@ class LinkSimulator:
             rssi = mean_rssi + gen.normal(0, self.config.fading_sigma_db)
             rssis.append(rssi)
             snr = rssi - noise - snr_penalty
-            if use_batch:
+            if self.batch:
                 draws.append(self.session.predraw_packet(
                     snr_db=snr, incident_power_dbm=incident,
                     rng=gen, excitation=excitation))
@@ -251,14 +226,17 @@ class LinkSimulator:
                         share_excitation: bool = False,
                         registries: Optional[Sequence[Any]] = None
                         ) -> List[LinkPoint]:
-        """Cross-point batched ``[simulate_point(d) for d in ...]``.
+        """Simulate many distance points, stacking packets across them.
 
-        Phase 1 runs per point in order (each point's RNG draws are
-        identical to the per-point loop), then the channel and decode
+        Phase 1 runs per point in order, inside that point's
+        ``sim.point`` span (each point's RNG draws are identical to
+        running the points one at a time), then the channel and decode
         are stacked *across* points in chunks of up to the session's
         ``_chunk_packets`` — so a whole sweep amortises the
         vectorised receiver kernels even when each point only carries a
-        handful of packets.  Bit-identical to the per-point loop.
+        handful of packets.  A chunk is flushed only between points, so
+        one point's packets always share one stack.  Bit-identical to
+        running the points one at a time.
 
         Parameters
         ----------
@@ -268,18 +246,15 @@ class LinkSimulator:
             point, matching serial ``sweep``.
         registries:
             Optional one :class:`~repro.obs.MetricsRegistry` per point;
-            each point's counters and stage records are routed to its
-            registry (the cross-point channel/decode timers stay on the
-            ambient registry).  Used by the engine to keep per-task
-            forensics exact while sharing the stacked kernels.
+            each point's ``sim.point`` span, counters and stage records
+            are routed to its registry (the cross-point channel/decode
+            timers stay on the ambient registry).  Used by the engine to
+            keep per-task forensics exact while sharing the stacked
+            kernels.
         """
         session = self.session
-        if not hasattr(session, "predraw_packet"):
-            raise TypeError("session has no two-phase batch API; use "
-                            "simulate_point per point instead")
         pendings: List[_PendingPoint] = []
         buffered: List[Any] = []           # (point idx, packet idx, draw)
-        chunk = int(getattr(session, "_chunk_packets", _CHUNK_PACKETS))
 
         def point_scope(idx: int):
             return (obs.collect_into(registries[idx])
@@ -306,7 +281,9 @@ class LinkSimulator:
 
         for idx, dist in enumerate(distances_m):
             gen = self._rng if rngs is None else make_rng(rngs[idx])
-            with point_scope(idx):
+            with point_scope(idx), obs.span(
+                    "sim.point", distance_m=float(dist),
+                    packets=self.packets_per_point):
                 pending = self._point_phase1(float(dist), gen,
                                              share_excitation)
             if pending.draws:
@@ -317,7 +294,7 @@ class LinkSimulator:
                     else:
                         buffered.append((idx, di, d))
             pendings.append(pending)
-            if len(buffered) >= chunk:
+            if len(buffered) >= session._chunk_packets:
                 flush()
         if buffered:
             flush()
@@ -366,15 +343,7 @@ class LinkSimulator:
         """
         distances = list(distances_m)
         if n_jobs is None and failure_policy is None and checkpoint is None:
-            if (self.batch and len(distances) > 1
-                    and hasattr(self.session, "predraw_packet")
-                    and not obs.tracing_active()):
-                # Serial cross-point batching: same generator stream,
-                # same results, one stacked kernel pass per chunk.  With
-                # tracing active keep the per-point loop so each
-                # ``sim.point`` span encloses its own decode work.
-                return self.simulate_points(distances)
-            return [self.simulate_point(d) for d in distances]
+            return self.simulate_points(distances)
 
         from repro.sim.engine import ExperimentEngine
 
