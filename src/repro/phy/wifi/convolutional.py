@@ -12,14 +12,21 @@ all-ones input window complements the outputs, which is what lets a
 FreeRider tag's phase-flip translation map decoded bits to their
 complement (paper section 3.2.1).
 
-The Viterbi decoder is vectorised over states with numpy and supports
-both hard bits and soft LLR inputs.
+Encoding is one XOR of shifted copies of the input per generator tap.
+Decoding runs one Viterbi kernel for every stack size —
+:meth:`ConvolutionalCode.decode` is a batch of one.  Path metrics are
+state-major, ``(n_states, B)``: the shift-register butterfly makes the
+predecessors of target ``j`` the states ``2j`` and ``2j + 1`` (mod
+``n_states / 2``), so the predecessor gather is the pair of views
+``pm[0::2]`` / ``pm[1::2]`` and a trellis step is four whole-array
+ufunc calls whatever B is.  Survivor decisions are bit-packed, and the
+traceback walks Python ints when the stack is small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,20 +42,33 @@ PUNCTURE_PATTERNS: Dict[Tuple[int, int], np.ndarray] = {
     (3, 4): np.array([1, 1, 1, 0, 0, 1], dtype=np.uint8),
 }
 
+# Path-metric elements (n_states * B) per chunk of trellis steps: the
+# chunk's gathered branch metrics and survivor bits stay cache-sized.
+_CHUNK_ELEMENTS = 1 << 16
+# Stacks up to this many rows trace back one row at a time on Python
+# ints; larger stacks advance every row's state together in numpy.
+_SCALAR_TRACEBACK_ROWS = 16
+
+
+def _where_select(c0: np.ndarray, c1: np.ndarray, out: np.ndarray) -> None:
+    """``out = np.where(c1 > c0, c1, c0)``: slot 0 wins ties, and a NaN
+    in either candidate keeps slot 0."""
+    np.copyto(out, np.where(c1 > c0, c1, c0))
+
 
 @dataclass
 class ConvolutionalCode:
     """K=7 convolutional code with numpy Viterbi decoding.
 
-    The instance precomputes the state-transition tables once; encode and
-    decode are then pure-numpy loops over time steps.
+    The instance precomputes the state-transition tables once.
     """
 
     g0: int = 0o133
     g1: int = 0o171
     constraint_length: int = 7
     _tables: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _acs: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _acs: Optional[np.ndarray] = field(default=None, repr=False,
+                                       compare=False)
 
     @property
     def n_states(self) -> int:
@@ -86,13 +106,14 @@ class ConvolutionalCode:
         if rate not in PUNCTURE_PATTERNS:
             raise ValueError(f"unsupported coding rate {rate}")
         arr = as_bits(bits)
-        next_state, out0, out1 = self._build_tables()
-        coded = np.empty(2 * arr.size, dtype=np.uint8)
-        s = 0
-        for i, b in enumerate(arr):
-            coded[2 * i] = out0[s, b]
-            coded[2 * i + 1] = out1[s, b]
-            s = next_state[s, b]
+        k = self.constraint_length
+        # padded[i + k - 1] = b[i]; register bit k-1-d holds b[i-d].
+        padded = np.concatenate([np.zeros(k - 1, dtype=np.uint8), arr])
+        coded = np.zeros(2 * arr.size, dtype=np.uint8)
+        for out, gen in ((coded[0::2], self.g0), (coded[1::2], self.g1)):
+            for d in range(k):
+                if (gen >> (k - 1 - d)) & 1:
+                    out ^= padded[k - 1 - d:k - 1 - d + arr.size]
         return self._puncture(coded, rate)
 
     def _puncture(self, coded: np.ndarray, rate: Tuple[int, int]) -> np.ndarray:
@@ -103,57 +124,32 @@ class ConvolutionalCode:
         mask = np.tile(pattern, reps)[: coded.size].astype(bool)
         return coded[mask]
 
-    def _depuncture(self, llrs: np.ndarray, rate: Tuple[int, int]) -> np.ndarray:
-        """Re-insert zeros (erasures) at punctured positions of an LLR
-        stream; returns a multiple-of-2-length array."""
-        pattern = PUNCTURE_PATTERNS[rate]
-        if pattern.size == 2:
-            out = llrs.astype(float)
-        else:
-            kept_per_period = int(pattern.sum())
-            n_periods = int(np.ceil(llrs.size / kept_per_period))
-            out = np.zeros(n_periods * pattern.size, dtype=float)
-            mask = np.tile(pattern, n_periods).astype(bool)
-            padded = np.zeros(int(mask.sum()), dtype=float)
-            padded[: llrs.size] = llrs
-            out[mask] = padded
-        if out.size % 2:
-            out = np.concatenate([out, [0.0]])
-        return out
+    def _acs_tables(self) -> np.ndarray:
+        """Branch-metric table index of every trellis transition.
 
-    def _acs_tables(self):
-        """Predecessor layout for the add-compare-select recursion.
-
-        Each target state has exactly two (predecessor, input-bit) pairs;
-        the two slots are laid out as one flat length-2n axis (slot 0
-        first) so one gather + one add covers both per step.  Returns
-        ``(pred, pbit, pred_flat, exp0_flat, exp1_flat)`` where the
-        ``exp*_flat`` vectors hold the expected (+/-1) coder outputs of
-        each flat transition.
+        ``next_state = ((b << (K-1)) | s) >> 1`` for every generator
+        pair, so target ``j = b * half + i`` (``half = n_states / 2``) is
+        reached from slot 0 ``s = 2i`` and slot 1 ``s = 2i + 1``, both
+        with input bit ``b = j // half``.  Returns a ``(2, 2, half)``
+        int array ``idx[slot, b, i]`` selecting, for that transition,
+        the entry of the per-step table ``[le+lo, le-lo, -(le+lo),
+        -(le-lo)]`` equal to its branch metric ``le*e0 + lo*e1`` (e0,
+        e1 = +1 for an expected 0 bit, -1 for a 1).
         """
         if self._acs is not None:
             return self._acs
-        next_state, out0, out1 = self._build_tables()
-        n = self.n_states
-        # Branch metric of transition (s, b) at time t:
-        # correlation of expected symbols (+1 for bit 0) with LLRs.
-        exp0 = 1.0 - 2.0 * out0.astype(float)  # (n,2)
-        exp1 = 1.0 - 2.0 * out1.astype(float)
-        pred = np.zeros((n, 2), dtype=np.int64)
-        pbit = np.zeros((n, 2), dtype=np.int64)
-        fill = np.zeros(n, dtype=np.int64)
-        for s in range(n):
+        _, out0, out1 = self._build_tables()
+        half = self.n_states // 2
+        idx = np.zeros((2, 2, half), dtype=np.intp)
+        for slot in range(2):
             for b in range(2):
-                tgt = next_state[s, b]
-                pred[tgt, fill[tgt]] = s
-                pbit[tgt, fill[tgt]] = b
-                fill[tgt] += 1
-        exp0_pred = exp0[pred, pbit]  # (n,2) expected first output symbol
-        exp1_pred = exp1[pred, pbit]
-        exp0_flat = np.concatenate([exp0_pred[:, 0], exp0_pred[:, 1]])
-        exp1_flat = np.concatenate([exp1_pred[:, 0], exp1_pred[:, 1]])
-        pred_flat = np.concatenate([pred[:, 0], pred[:, 1]])
-        self._acs = (pred, pbit, pred_flat, exp0_flat, exp1_flat)
+                for i in range(half):
+                    o0 = int(out0[2 * i + slot, b])
+                    o1 = int(out1[2 * i + slot, b])
+                    # (e0, e1) = (+,+) -> 0, (+,-) -> 1, (-,-) -> 2,
+                    # (-,+) -> 3.
+                    idx[slot, b, i] = 2 * o0 + (o0 ^ o1)
+        self._acs = idx
         return self._acs
 
     def decode(self, received, rate: Tuple[int, int] = (1, 2),
@@ -177,43 +173,7 @@ class ConvolutionalCode:
             llr = np.asarray(received, dtype=float)
         else:
             llr = 1.0 - 2.0 * as_bits(received).astype(float)
-        llr = self._depuncture(llr, rate)
-        n_steps = llr.size // 2
-        if n_steps == 0:
-            return np.zeros(0, dtype=np.uint8)
-
-        n = self.n_states
-        pred, pbit, pred_flat, exp0_flat, exp1_flat = self._acs_tables()
-
-        path_metric = np.full(n, -np.inf)
-        path_metric[0] = 0.0
-
-        # All branch metrics up front in one vectorised pass over the
-        # flat (n_steps, 2n) transition layout.
-        bm_flat = (llr[0::2, None] * exp0_flat[None, :]
-                   + llr[1::2, None] * exp1_flat[None, :])
-
-        # choice[t, s]: which of the two predecessors of s survived at t.
-        # Strict > matches np.argmax's first-index tie-breaking (slot 0
-        # wins ties), keeping decodes bit-identical to the reference
-        # per-step formulation.
-        choices = np.zeros((n_steps, n), dtype=bool)
-        cand = np.empty(2 * n)
-        c0, c1 = cand[:n], cand[n:]
-        for t in range(n_steps):
-            np.take(path_metric, pred_flat, out=cand)
-            cand += bm_flat[t]
-            choice = np.greater(c1, c0, out=choices[t])
-            path_metric = np.where(choice, c1, c0)
-
-        # Traceback from the best final state.
-        state = int(np.argmax(path_metric))
-        decoded = np.zeros(n_steps, dtype=np.uint8)
-        for t in range(n_steps - 1, -1, -1):
-            slot = 1 if choices[t, state] else 0
-            decoded[t] = pbit[state, slot]
-            state = int(pred[state, slot])
-        return decoded
+        return self._viterbi(llr.reshape(1, -1), rate)[0]
 
     def decode_batch(self, received, rate: Tuple[int, int] = (1, 2),
                      soft: bool = False) -> np.ndarray:
@@ -221,12 +181,7 @@ class ConvolutionalCode:
 
         *received* is a (B, L) array of hard bits or LLRs (one frame per
         row, same convention as :meth:`decode`); returns a (B, n_steps)
-        uint8 array.  The add-compare-select recursion runs over all
-        rows simultaneously and the traceback advances every row's state
-        vector per step, so the Python-loop cost is paid once per time
-        step instead of once per frame.  Every elementwise operation
-        matches the scalar recursion, so the result is bit-identical to
-        ``np.stack([decode(row, ...) for row in received])``.
+        uint8 array, row for row equal to :meth:`decode` of that row.
         """
         if rate not in PUNCTURE_PATTERNS:
             raise ValueError(f"unsupported coding rate {rate}")
@@ -239,6 +194,10 @@ class ConvolutionalCode:
             llr2 = 1.0 - 2.0 * block.astype(float)
         if llr2.shape[0] == 0:
             return np.zeros((0, 0), dtype=np.uint8)
+        return self._viterbi(llr2, rate)
+
+    def _viterbi(self, llr2: np.ndarray, rate: Tuple[int, int]) -> np.ndarray:
+        """Decode a (B, L) float LLR block; returns (B, n_steps) uint8."""
         # Rows share a length, so depuncturing one row fixes the layout
         # for all of them (pure scatter: float values are untouched).
         pattern = PUNCTURE_PATTERNS[rate]
@@ -257,35 +216,126 @@ class ConvolutionalCode:
         n_batch, n_steps = llr2.shape[0], llr2.shape[1] // 2
         if n_steps == 0:
             return np.zeros((n_batch, 0), dtype=np.uint8)
+        return self._traceback(*self._forward(llr2, n_steps))
 
+    def _forward(self, llr2: np.ndarray, n_steps: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Add-compare-select over all steps and rows.
+
+        Returns the survivor decisions as a ``(n_steps, B, n_bytes)``
+        uint8 array — one big-endian word per step and row whose bit
+        ``8 * n_bytes - 1 - j`` is set when slot 1 survived into target
+        state ``j`` — and the best final state of each row (first index
+        of the maximum, like ``np.argmax``).
+
+        Exactness against the per-transition formulation
+        ``pm[pred] + (le*e0 + lo*e1)`` with ``np.where(c1 > c0, c1, c0)``:
+
+        * multiplying by +/-1.0 is exact, ``(-a) + (-b) == -(a + b)``
+          and ``(-a) + b == -(a - b)`` in IEEE arithmetic, so each
+          table entry equals that transition's branch metric except
+          possibly in the sign of a zero (or of a NaN);
+        * a signed zero cannot reach a path metric: ``x + (+-0) == x``
+          for every ``x`` that is not -0.0, and path metrics start at
+          +0.0 / -inf and are sums of such values and branch metrics,
+          so no candidate or path metric is ever -0.0;
+        * the select is ``np.maximum`` only while every table entry
+          seen so far is finite: path metrics are then never NaN
+          (finite or +-inf plus finite), and on NaN-free candidates
+          ``np.maximum`` equals ``np.where(c1 > c0, c1, c0)`` bit for
+          bit (equal values can only differ in the sign of a zero,
+          excluded above).  From the first non-finite entry on the
+          select is :func:`_where_select`, which keeps slot 0 on ties
+          and on NaN.
+        """
         n = self.n_states
-        pred, pbit, pred_flat, exp0_flat, exp1_flat = self._acs_tables()
+        half = n // 2
+        n_batch = llr2.shape[0]
+        idx0, idx1 = self._acs_tables()
+        le = np.ascontiguousarray(llr2[:, 0::2].T)  # (n_steps, B)
+        lo = np.ascontiguousarray(llr2[:, 1::2].T)
 
-        path_metric = np.full((n_batch, n), -np.inf)
-        path_metric[:, 0] = 0.0
-        llr_even = llr2[:, 0::2]
-        llr_odd = llr2[:, 1::2]
+        pm = np.full((n, n_batch), -np.inf)
+        pm[0] = 0.0
+        pm_even, pm_odd = pm[0::2], pm[1::2]
+        pm_next = pm.reshape(2, half, n_batch)
+        c0 = np.empty((2, half, n_batch))
+        c1 = np.empty((2, half, n_batch))
 
-        choices = np.zeros((n_steps, n_batch, n), dtype=bool)
-        cand = np.empty((n_batch, 2 * n))
-        c0, c1 = cand[:, :n], cand[:, n:]
-        for t in range(n_steps):
-            # bm[b, j] = llr_even[b, t]*exp0_flat[j] + llr_odd[b, t]*...
-            # — per-element arithmetic identical to the scalar bm_flat.
-            np.take(path_metric, pred_flat, axis=1, out=cand)
-            cand += (llr_even[:, t, None] * exp0_flat[None, :]
-                     + llr_odd[:, t, None] * exp1_flat[None, :])
-            choice = np.greater(c1, c0, out=choices[t])
-            path_metric = np.where(choice, c1, c0)
+        chunk = max(1, _CHUNK_ELEMENTS // (n * n_batch))
+        table = np.empty((chunk, 4, n_batch))
+        bm0 = np.empty((chunk, 2, half, n_batch))
+        bm1 = np.empty((chunk, 2, half, n_batch))
+        surv = np.empty((chunk, 2, half, n_batch), dtype=bool)
+        packed = np.empty((n_steps, n_batch, -(-n // 8)), dtype=np.uint8)
+        select: Callable[..., Any] = np.maximum
+        for t0 in range(0, n_steps, chunk):
+            m = min(chunk, n_steps - t0)
+            tab = table[:m]
+            np.add(le[t0:t0 + m], lo[t0:t0 + m], out=tab[:, 0])
+            np.subtract(le[t0:t0 + m], lo[t0:t0 + m], out=tab[:, 1])
+            np.negative(tab[:, :2], out=tab[:, 2:])
+            if select is np.maximum and not np.isfinite(tab).all():
+                select = _where_select
+            # bm0[k, b, i]: branch metric into target b*half + i from
+            # slot 0 at step t0 + k; likewise bm1 from slot 1.
+            np.take(tab, idx0, axis=1, out=bm0[:m], mode="clip")
+            np.take(tab, idx1, axis=1, out=bm1[:m], mode="clip")
+            for b0, b1, s in zip(bm0[:m], bm1[:m], surv[:m]):
+                np.add(pm_even, b0, out=c0)
+                np.add(pm_odd, b1, out=c1)
+                np.greater(c1, c0, out=s)
+                select(c0, c1, out=pm_next)
+            packed[t0:t0 + m] = np.packbits(np.ascontiguousarray(
+                surv[:m].reshape(m, n, n_batch).transpose(0, 2, 1)), axis=-1)
+        return packed, np.argmax(pm, axis=0)
 
-        # Traceback: advance all rows' states together.
-        state = np.argmax(path_metric, axis=1)
-        decoded = np.zeros((n_batch, n_steps), dtype=np.uint8)
-        rows = np.arange(n_batch)
-        for t in range(n_steps - 1, -1, -1):
-            slot = choices[t, rows, state].astype(np.int64)
-            decoded[:, t] = pbit[state, slot]
-            state = pred[state, slot]
+    def _traceback(self, packed: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Walk the packed survivors back from each row's best state.
+
+        The state before step t is ``((state & low) << 1) | slot`` and
+        the bit decoded at t is the newest bit of the state after it.
+        """
+        n = self.n_states
+        n_steps, n_batch, n_bytes = packed.shape
+        top = 8 * n_bytes - 1  # word bit of state 0
+        shift = self.constraint_length - 2  # state -> its newest bit
+        low = n // 2 - 1
+        dtype = {1: ">u1", 2: ">u2", 4: ">u4", 8: ">u8"}.get(n_bytes)
+        if n_batch > _SCALAR_TRACEBACK_ROWS and n == 8 * n_bytes <= 64:
+            # All rows at once on c = top - state, for which the slot
+            # bit is (~word >> c) & 1 and the update stays three ops.
+            inv = ~packed.view(dtype).reshape(n_steps, n_batch).astype(
+                np.uint64)
+            cs = np.empty((n_steps, n_batch), dtype=np.uint64)
+            c = (top - best).astype(np.uint64)
+            one, mask = np.uint64(1), np.uint64(low)
+            for t in range(n_steps - 1, -1, -1):
+                cs[t] = c
+                slot = inv[t] >> c
+                slot &= one
+                c &= mask
+                c <<= one
+                c |= slot
+            bits = (cs >> np.uint64(shift)) ^ one
+            return bits.astype(np.uint8).T.copy()
+        if dtype is not None:
+            words = packed.view(dtype).reshape(n_steps, n_batch)
+            rows = [words[:, r].tolist() for r in range(n_batch)]
+        else:
+            data = packed.tobytes()
+            stride = n_batch * n_bytes
+            rows = [[int.from_bytes(data[i:i + n_bytes], "big")
+                     for i in range(r * n_bytes, len(data), stride)]
+                    for r in range(n_batch)]
+        decoded = np.empty((n_batch, n_steps), dtype=np.uint8)
+        for r, word in enumerate(rows):
+            out = bytearray(n_steps)
+            state = int(best[r])
+            for t in range(n_steps - 1, -1, -1):
+                out[t] = state >> shift
+                state = ((state & low) << 1) | ((word[t] >> (top - state)) & 1)
+            decoded[r] = np.frombuffer(out, dtype=np.uint8)
         return decoded
 
 
