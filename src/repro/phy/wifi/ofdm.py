@@ -85,11 +85,27 @@ class OfdmModulator:
         return np.concatenate([time[-self.n_cp:], time])
 
     def modulate(self, symbol_matrix: np.ndarray, first_index: int = 0) -> np.ndarray:
-        """Modulate a (n_symbols, 48) matrix into a contiguous waveform."""
+        """Modulate a (n_symbols, 48) matrix into a contiguous waveform.
+
+        One grid fill and one ``np.fft.ifft(..., axis=1)`` for all
+        symbols: row for row the same samples as :meth:`modulate_symbol`.
+        """
         mat = np.atleast_2d(symbol_matrix)
-        parts = [self.modulate_symbol(row, first_index + i)
-                 for i, row in enumerate(mat)]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+        n_sym = mat.shape[0]
+        if n_sym == 0:
+            return np.zeros(0, dtype=complex)
+        if mat.shape[1] != len(DATA_SUBCARRIERS):
+            raise ValueError(
+                f"expected {len(DATA_SUBCARRIERS)} data symbols, "
+                f"got {mat.shape[1]}")
+        grid = np.zeros((n_sym, self.n_fft), dtype=complex)
+        grid[:, [k % self.n_fft for k in DATA_SUBCARRIERS]] = mat
+        polarity = PILOT_POLARITY[(first_index + np.arange(n_sym)) % 127]
+        pilots = np.array((1, 1, 1, -1))  # base pilot values on -21,-7,7,21
+        grid[:, [k % self.n_fft for k in PILOT_SUBCARRIERS]] = \
+            pilots[None, :] * polarity[:, None]
+        time = np.fft.ifft(grid, axis=1) * np.sqrt(self.n_fft)
+        return np.concatenate([time[:, -self.n_cp:], time], axis=1).ravel()
 
     def demodulate_symbol(self, samples: np.ndarray, symbol_index: int,
                           pilot_correction: bool = False) -> Tuple[np.ndarray, complex]:

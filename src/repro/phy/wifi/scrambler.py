@@ -52,8 +52,20 @@ class Scrambler:
         return fb
 
     def keystream(self, n: int) -> np.ndarray:
-        """Generate *n* keystream bits."""
-        return np.array([self.next_bit() for _ in range(n)], dtype=np.uint8)
+        """Generate *n* keystream bits, advancing the register *n* steps.
+
+        ``x^7 + x^4 + 1`` is primitive, so any non-zero state cycles with
+        period 127: one period is stepped bit by bit and tiled, and the
+        register is then stepped on to where *n* single steps leave it,
+        at O(127) state updates instead of O(n).
+        """
+        period = np.array([self.next_bit() for _ in range(min(n, 127))],
+                          dtype=np.uint8)
+        if n <= 127:
+            return period
+        for _ in range((n - 127) % 127):
+            self.next_bit()
+        return np.tile(period, -(-n // 127))[:n]
 
     def process(self, bits) -> np.ndarray:
         """Scramble (or descramble — the operation is an involution given
@@ -68,19 +80,10 @@ def scrambler_sequence(seed: int, n: int) -> np.ndarray:
 
 
 def periodic_keystream(seed: int, n: int) -> np.ndarray:
-    """*n* keystream bits via the LFSR's 127-bit period.
-
-    ``x^7 + x^4 + 1`` is primitive, so any non-zero state cycles with
-    period 127; stepping the register 127 times and tiling gives the
-    same bits as ``Scrambler(seed).keystream(n)`` at O(127) state
-    updates instead of O(n) — the fast path for whole-frame
-    descrambling.
-    """
-    period = Scrambler(seed).keystream(min(n, 127))
-    if n <= 127:
-        return period
-    reps = -(-n // 127)  # ceil
-    return np.tile(period, reps)[:n]
+    """*n* keystream bits of *seed*: one 127-bit LFSR period, tiled (see
+    :meth:`Scrambler.keystream`) — the fast path for whole-frame
+    descrambling."""
+    return Scrambler(seed).keystream(n)
 
 
 def scramble(bits, seed: int = 0b1011101) -> np.ndarray:

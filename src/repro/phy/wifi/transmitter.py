@@ -120,4 +120,5 @@ class WifiTransmitter:
         """Generate a random payload (models productive traffic)."""
         if n_bytes < 1:
             raise ValueError("payload must be at least 1 byte")
-        return bytes(int(b) for b in self._rng.integers(0, 256, size=n_bytes))
+        draws = self._rng.integers(0, 256, size=n_bytes)
+        return draws.astype(np.uint8).tobytes()
