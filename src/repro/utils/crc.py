@@ -13,14 +13,21 @@ Each engine is bit-exact against the published reference vectors (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 __all__ = ["Crc", "CRC32", "CRC16_CCITT", "CRC24_BLE"]
 
 
 @dataclass(frozen=True)
 class Crc:
-    """A generic reflected-or-normal CRC defined by its classic parameters."""
+    """A generic reflected-or-normal CRC defined by its classic parameters.
+
+    :meth:`compute` is byte-at-a-time through one 256-entry table per
+    engine, built on first use.  A reflected-input engine runs the
+    reflected register (seeded with the reflected *init*), which equals
+    the bit-reversal of the MSB-first register fed bit-reversed bytes.
+    """
 
     width: int
     poly: int
@@ -37,26 +44,50 @@ class Crc:
             value >>= 1
         return out
 
+    @cached_property
+    def _table(self) -> Tuple[int, ...]:
+        """Register update for each value of the byte shifted out: LSB
+        first (reflected polynomial) when *refin*, else MSB first."""
+        mask = (1 << self.width) - 1
+        table = []
+        if self.refin:
+            rpoly = self._reflect(self.poly, self.width)
+            for i in range(256):
+                reg = i
+                for _ in range(8):
+                    reg = (reg >> 1) ^ rpoly if reg & 1 else reg >> 1
+                table.append(reg)
+        else:
+            topbit = 1 << (self.width - 1)
+            for i in range(256):
+                reg = i << (self.width - 8)
+                for _ in range(8):
+                    reg = ((reg << 1) ^ self.poly if reg & topbit
+                           else reg << 1) & mask
+                table.append(reg)
+        return tuple(table)
+
     def compute(self, data: bytes, init: Optional[int] = None) -> int:
         """Return the CRC of *data* as an unsigned integer.
 
         *init* overrides the register seed (used by BLE, where the seed
         depends on the connection).
         """
-        topbit = 1 << (self.width - 1)
         mask = (1 << self.width) - 1
         reg = self.init if init is None else init
-        for byte in data:
-            b = self._reflect(byte, 8) if self.refin else byte
-            reg ^= b << (self.width - 8)
-            reg &= mask
-            for _ in range(8):
-                if reg & topbit:
-                    reg = ((reg << 1) ^ self.poly) & mask
-                else:
-                    reg = (reg << 1) & mask
-        if self.refout:
-            reg = self._reflect(reg, self.width)
+        table = self._table
+        if self.refin:
+            reg = self._reflect(reg & mask, self.width)
+            for byte in data:
+                reg = (reg >> 8) ^ table[(reg ^ byte) & 0xFF]
+            if not self.refout:
+                reg = self._reflect(reg, self.width)
+        else:
+            shift = self.width - 8
+            for byte in data:
+                reg = ((reg << 8) & mask) ^ table[((reg >> shift) ^ byte) & 0xFF]
+            if self.refout:
+                reg = self._reflect(reg, self.width)
         return (reg ^ self.xorout) & mask
 
     def digest(self, data: bytes, init: Optional[int] = None) -> bytes:
