@@ -16,10 +16,12 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def pytest_collection_modifyitems(items):
-    """Every benchmark here is a full figure/MAC sweep: minutes, not
-    milliseconds.  Mark them ``slow`` so the tier-1 run (``pytest`` with
-    the default ``-m 'not slow'``) skips them; select them explicitly
-    with ``pytest benchmarks -m slow`` (or ``-m ""`` for everything)."""
+    """Every benchmark here is a full figure/MAC sweep: up to a few
+    seconds each (all nineteen take ~15 s on two CPUs), not
+    milliseconds.  Mark them ``slow`` so
+    the tier-1 run (``pytest`` with the default ``-m 'not slow'``)
+    skips them; select them explicitly with ``pytest benchmarks -m
+    slow`` (or ``-m ""`` for everything)."""
     this_dir = pathlib.Path(__file__).parent
     for item in items:
         if pathlib.Path(str(item.fspath)).parent == this_dir:

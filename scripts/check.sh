@@ -20,6 +20,10 @@ python -m pytest -x -q tests/iq
 python -m repro corpus replay --mode both
 python -m repro corpus fuzz --iterations 50 --seed 7
 
+echo "== paper figure tables (Figs 10-13, exact) =="
+python -m pytest -q benchmarks -m slow -k "fig10 or fig11 or fig12 or fig13"
+git diff --exit-code benchmarks/results
+
 echo "== perf smoke =="
 python -m repro bench --smoke --no-history
 python -m pytest -q perfbench
