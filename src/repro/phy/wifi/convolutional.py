@@ -189,7 +189,7 @@ class ConvolutionalCode:
         if block.ndim != 2:
             raise ValueError("decode_batch expects a (B, L) array")
         if soft:
-            llr2 = block.astype(float)
+            llr2 = np.asarray(block, dtype=float)  # read, never written
         else:
             llr2 = 1.0 - 2.0 * block.astype(float)
         if llr2.shape[0] == 0:
@@ -252,8 +252,7 @@ class ConvolutionalCode:
         half = n // 2
         n_batch = llr2.shape[0]
         idx0, idx1 = self._acs_tables()
-        le = np.ascontiguousarray(llr2[:, 0::2].T)  # (n_steps, B)
-        lo = np.ascontiguousarray(llr2[:, 1::2].T)
+        le, lo = llr2[:, 0::2].T, llr2[:, 1::2].T  # (n_steps, B) views
 
         pm = np.full((n, n_batch), -np.inf)
         pm[0] = 0.0
@@ -264,6 +263,7 @@ class ConvolutionalCode:
 
         chunk = max(1, _CHUNK_ELEMENTS // (n * n_batch))
         table = np.empty((chunk, 4, n_batch))
+        le_c, lo_c = np.empty((2, chunk, n_batch))
         bm0 = np.empty((chunk, 2, half, n_batch))
         bm1 = np.empty((chunk, 2, half, n_batch))
         surv = np.empty((chunk, 2, half, n_batch), dtype=bool)
@@ -271,9 +271,11 @@ class ConvolutionalCode:
         select: Callable[..., Any] = np.maximum
         for t0 in range(0, n_steps, chunk):
             m = min(chunk, n_steps - t0)
-            tab = table[:m]
-            np.add(le[t0:t0 + m], lo[t0:t0 + m], out=tab[:, 0])
-            np.subtract(le[t0:t0 + m], lo[t0:t0 + m], out=tab[:, 1])
+            tab, le_m, lo_m = table[:m], le_c[:m], lo_c[:m]
+            np.copyto(le_m, le[t0:t0 + m])
+            np.copyto(lo_m, lo[t0:t0 + m])
+            np.add(le_m, lo_m, out=tab[:, 0])
+            np.subtract(le_m, lo_m, out=tab[:, 1])
             np.negative(tab[:, :2], out=tab[:, 2:])
             if select is np.maximum and not np.isfinite(tab).all():
                 select = _where_select

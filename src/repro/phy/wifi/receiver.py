@@ -297,11 +297,16 @@ class WifiReceiver:
             rows = np.asarray(members)
             rate = headers[rows[0]].rate
             const = rate.constellation
-            wave = wav[rows, data_start:data_start + n_sym * 80]
+            # A group of every frame (the usual case) slices rather than
+            # gathers, so the samples are not copied; the raw symbols
+            # are dropped once equalised.  Both keep the peak working
+            # set down.
+            take = slice(None) if rows.size == n_b else rows
             rx_syms, _ = self._ofdm.demodulate_batch(
-                wave, n_sym, first_index=1,
-                pilot_correction=self.pilot_correction)
+                wav[take, data_start:data_start + n_sym * 80], n_sym,
+                first_index=1, pilot_correction=self.pilot_correction)
             rx_eq = rx_syms / h_data_all[rows][:, None, :]
+            del rx_syms
 
             llrs = const.demodulate_soft_batch(
                 rx_eq.reshape(rows.size, n_sym * len(DATA_SUBCARRIERS)),
