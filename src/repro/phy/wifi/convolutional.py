@@ -17,9 +17,9 @@ Decoding runs one Viterbi kernel for every stack size —
 :meth:`ConvolutionalCode.decode` is a batch of one.  Path metrics are
 state-major, ``(n_states, B)``: the shift-register butterfly makes the
 predecessors of target ``j`` the states ``2j`` and ``2j + 1`` (mod
-``n_states / 2``), so the predecessor gather is the pair of views
-``pm[0::2]`` / ``pm[1::2]`` and a trellis step is four whole-array
-ufunc calls whatever B is.  Survivor decisions are bit-packed, and the
+``n_states / 2``), so the predecessor gather is a strided view of
+``pm`` and a trellis step is three whole-array ufunc calls (add,
+compare, select) whatever B is.  Survivor decisions are bit-packed, and the
 traceback walks Python ints when the stack is small.
 """
 
@@ -251,21 +251,22 @@ class ConvolutionalCode:
         n = self.n_states
         half = n // 2
         n_batch = llr2.shape[0]
-        idx0, idx1 = self._acs_tables()
+        idx = self._acs_tables()
         le, lo = llr2[:, 0::2].T, llr2[:, 1::2].T  # (n_steps, B) views
 
         pm = np.full((n, n_batch), -np.inf)
         pm[0] = 0.0
-        pm_even, pm_odd = pm[0::2], pm[1::2]
+        # pm_pred[slot, 0, i] = pm[2i + slot], the predecessors of
+        # targets i and half + i; pm_next[b, i] = pm[b*half + i].
+        pm_pred = pm.reshape(half, 2, n_batch).transpose(1, 0, 2)[:, None]
         pm_next = pm.reshape(2, half, n_batch)
-        c0 = np.empty((2, half, n_batch))
-        c1 = np.empty((2, half, n_batch))
+        cand = np.empty((2, 2, half, n_batch))  # [slot, b, i]
+        c0, c1 = cand
 
         chunk = max(1, _CHUNK_ELEMENTS // (n * n_batch))
         table = np.empty((chunk, 4, n_batch))
         le_c, lo_c = np.empty((2, chunk, n_batch))
-        bm0 = np.empty((chunk, 2, half, n_batch))
-        bm1 = np.empty((chunk, 2, half, n_batch))
+        bm = np.empty((chunk, 2, 2, half, n_batch))
         surv = np.empty((chunk, 2, half, n_batch), dtype=bool)
         packed = np.empty((n_steps, n_batch, -(-n // 8)), dtype=np.uint8)
         select: Callable[..., Any] = np.maximum
@@ -279,13 +280,11 @@ class ConvolutionalCode:
             np.negative(tab[:, :2], out=tab[:, 2:])
             if select is np.maximum and not np.isfinite(tab).all():
                 select = _where_select
-            # bm0[k, b, i]: branch metric into target b*half + i from
-            # slot 0 at step t0 + k; likewise bm1 from slot 1.
-            np.take(tab, idx0, axis=1, out=bm0[:m], mode="clip")
-            np.take(tab, idx1, axis=1, out=bm1[:m], mode="clip")
-            for b0, b1, s in zip(bm0[:m], bm1[:m], surv[:m]):
-                np.add(pm_even, b0, out=c0)
-                np.add(pm_odd, b1, out=c1)
+            # bm[k, slot, b, i]: branch metric into target b*half + i
+            # from that slot at step t0 + k.
+            np.take(tab, idx, axis=1, out=bm[:m], mode="clip")
+            for bm_k, s in zip(bm[:m], surv[:m]):
+                np.add(pm_pred, bm_k, out=cand)
                 np.greater(c1, c0, out=s)
                 select(c0, c1, out=pm_next)
             packed[t0:t0 + m] = np.packbits(np.ascontiguousarray(
