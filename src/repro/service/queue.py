@@ -128,8 +128,14 @@ class JobQueue:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def submit(self, envelope: Dict[str, Any], fingerprint: str) -> JobRecord:
-        """Journal a new pending job and return its record."""
+    def submit(self, envelope: Dict[str, Any], fingerprint: str,
+               cached: bool = False) -> JobRecord:
+        """Journal a new job and return its record.
+
+        The job is ``pending``, or with *cached* born ``done``/cached in
+        the same critical section, so no worker can claim a job whose
+        result is already stored.
+        """
         with self._lock:
             seq = self._next_seq
             self._next_seq += 1
@@ -140,6 +146,11 @@ class JobQueue:
             self._append({"kind": "job", "job_id": record.job_id,
                           "seq": seq, "fingerprint": fingerprint,
                           "envelope": record.envelope})
+            if cached:
+                record.state, record.cached = "done", True
+                self._append({"kind": "state", "job_id": record.job_id,
+                              "state": "done", "cached": True,
+                              "error": None})
             return record
 
     def set_state(self, job_id: str, state: str, *, cached: bool = False,

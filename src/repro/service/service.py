@@ -206,10 +206,11 @@ class SweepService:
         envelope = dump_spec(spec)
         fingerprint = spec_fingerprint(spec)
         self._inc("service.jobs.submitted")
-        job = self.queue.submit(envelope, fingerprint)
-        if self.store.has(fingerprint):
+        cached = self.store.has(fingerprint)
+        job = self.queue.submit(envelope, fingerprint, cached=cached)
+        if cached:
             self._inc("service.cache.hits")
-            return self.queue.set_state(job.job_id, "done", cached=True)
+            return job
         self._inc("service.cache.misses")
         self._note_active(job.job_id)
         return job

@@ -34,6 +34,16 @@ class TestLifecycle:
         assert second is not None and second.job_id == b.job_id
         assert q.claim_next() is None
 
+    def test_cached_submission_is_born_done(self, tmp_path):
+        # A job whose result is already stored is never claimable, not
+        # even for the moment between its job row and its state row.
+        q = queue_at(tmp_path)
+        job = q.submit(ENVELOPE, "aaaa", cached=True)
+        assert job.state == "done" and job.cached
+        assert q.claim_next() is None
+        replayed = queue_at(tmp_path).get(job.job_id)
+        assert replayed.state == "done" and replayed.cached
+
     def test_set_state_validates(self, tmp_path):
         q = queue_at(tmp_path)
         job = q.submit(ENVELOPE, "aaaa")
