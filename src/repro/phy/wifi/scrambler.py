@@ -79,11 +79,8 @@ def scrambler_sequence(seed: int, n: int) -> np.ndarray:
     return Scrambler(seed).keystream(n)
 
 
-def periodic_keystream(seed: int, n: int) -> np.ndarray:
-    """*n* keystream bits of *seed*: one 127-bit LFSR period, tiled (see
-    :meth:`Scrambler.keystream`) — the fast path for whole-frame
-    descrambling."""
-    return Scrambler(seed).keystream(n)
+# Whole-frame descrambling's name for the same (period-tiled) keystream.
+periodic_keystream = scrambler_sequence
 
 
 def scramble(bits, seed: int = 0b1011101) -> np.ndarray:
