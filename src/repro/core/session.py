@@ -503,11 +503,12 @@ class WifiBackscatterSession(_BatchPacketMixin):
     sample_rate_hz = 20e6
     unit_samples = 80  # one OFDM symbol at 20 MS/s
     oversample_factor = 1  # sample rate equals channel bandwidth
-    # Viterbi dominates the WiFi receiver, and its kernel costs about
-    # the same per trellis step at any stack size (a few whole-array
-    # ufunc calls), so bigger stacks keep amortising it long after the
-    # channel math goes memory-bound.  Survivors are bit-packed: 64
-    # frames of 12k steps hold ~6 MB of them.
+    # Viterbi dominates the WiFi receiver, and its kernel's cost grows
+    # far more slowly than the stack (three whole-array ufunc calls per
+    # trellis step; 64 frames cost ~8x one frame), so bigger stacks
+    # keep amortising it long after the channel math goes
+    # memory-bound.  Survivors are bit-packed: 64 frames of 12k steps
+    # hold ~6 MB of them.
     _chunk_packets = 64
     # Real 802.11 sync (STF detection, AGC, CFO) fails near 0 dB SNR even
     # though an ideal-timing Viterbi would still decode; model it as a
