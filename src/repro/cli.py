@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_source(submit)
     _add_url_option(submit)
     submit.add_argument("--wait", action="store_true",
-                        help="poll until the job finishes, then print "
+                        help="wait until the job finishes, then print "
                              "the result")
     submit.add_argument("--follow", action="store_true",
                         help="stream live progress rows while the job "

@@ -1,21 +1,21 @@
 """urllib client for the sweep service: what ``repro submit`` speaks.
 
 A deliberately small wrapper over :mod:`urllib.request` — no sessions,
-no retries beyond polling — returning the server's JSON payloads as
-plain dicts so the CLI can print them directly.  Server-side rejections
-(4xx/5xx) surface as :class:`ServiceClientError` carrying the HTTP
-status and the server's ``error`` message; connection failures raise
-the underlying :class:`urllib.error.URLError` untouched, so "server
-not running" stays distinguishable from "server said no".
+no retries beyond repeating a long-poll — returning the server's JSON
+payloads as plain dicts so the CLI can print them directly.
+Server-side rejections (4xx/5xx) surface as :class:`ServiceClientError`
+carrying the HTTP status and the server's ``error`` message; connection
+failures raise the underlying :class:`urllib.error.URLError` untouched,
+so "server not running" stays distinguishable from "server said no".
 """
 
 from __future__ import annotations
 
 import json
-import time
+import math
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.sim.engine import (
     ExperimentSpec,
@@ -28,6 +28,10 @@ __all__ = ["DEFAULT_URL", "ServiceClient", "ServiceClientError"]
 
 #: Where ``repro serve`` listens by default.
 DEFAULT_URL = "http://127.0.0.1:8351"
+
+#: Longest single long-poll the client asks for, seconds (the server
+#: caps ``wait=`` at the same value, ``repro.service.http.MAX_WAIT_S``).
+_LONG_POLL_S = 20.0
 
 
 class ServiceClientError(RuntimeError):
@@ -99,8 +103,12 @@ class ServiceClient:
             body = dict(payload)
         return dict(self._request_json("POST", "/jobs", body)["job"])
 
-    def status(self, job_id: str) -> Dict[str, Any]:
-        return self._request_json("GET", f"/jobs/{job_id}")
+    def status(self, job_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
+        """One job's status; with *wait_s* > 0 a long-poll that answers
+        once the job settles, or after *wait_s* seconds (server-capped)
+        with the still-active status."""
+        query = f"?wait={wait_s:g}" if wait_s > 0 else ""
+        return self._request_json("GET", f"/jobs/{job_id}{query}")
 
     def jobs(self) -> List[Dict[str, Any]]:
         return list(self._request_json("GET", "/jobs")["jobs"])
@@ -133,59 +141,73 @@ class ServiceClient:
         except (ServiceClientError, urllib.error.URLError, OSError):
             return False
 
-    def events(self, job_id: str, cursor: int = 0) -> Dict[str, Any]:
+    def events(self, job_id: str, cursor: int = 0,
+               wait_s: float = 0.0) -> Dict[str, Any]:
         """One page of the job's progress stream, after *cursor*.
 
         Returns the server payload: ``events`` (journal rows with
         ``seq`` > *cursor*), ``cursor`` (pass it back to resume),
         ``state`` and ``cached``.  A stale cursor yields no events and
-        echoes itself; a cached job has no stream (it never ran).
+        echoes itself; a cached job has no stream (it never ran).  With
+        *wait_s* > 0 an empty page of an active job is held until a row
+        lands or the job settles, at most *wait_s* seconds.
         """
-        return self._request_json(
-            "GET", f"/jobs/{job_id}/events?cursor={int(cursor)}")
+        query = f"?cursor={int(cursor)}"
+        if wait_s > 0:
+            query += f"&wait={wait_s:g}"
+        return self._request_json("GET", f"/jobs/{job_id}/events{query}")
 
-    def follow(self, job_id: str, timeout_s: float = 120.0,
-               poll_s: float = 0.2) -> Iterator[Dict[str, Any]]:
+    def _long_polls(self, timeout_s: float) -> Tuple[float, int]:
+        """``(wait_s, attempts)``: *timeout_s* cut into long-polls that
+        each stay well inside this client's socket timeout."""
+        piece = min(float(timeout_s), _LONG_POLL_S, self.timeout_s / 2)
+        if piece <= 0:
+            return 0.0, 1
+        return piece, math.ceil(timeout_s / piece)
+
+    def follow(self, job_id: str, timeout_s: float = 120.0
+               ) -> Iterator[Dict[str, Any]]:
         """Yield progress rows until the job leaves pending/running.
 
+        Each page is a long-poll that returns as soon as rows land.
         The server reads job state *before* the journal, so a page
         reporting a settled state provably carries the final rows —
-        the generator drains that page, then stops.  Bounded by
-        attempt count like :meth:`wait`; raises :class:`TimeoutError`
-        if the job is still live when the budget runs out.
+        the generator drains that page, then stops.  The budget counts
+        only pages that came back empty, so a job that keeps reporting
+        progress is followed to its end; raises :class:`TimeoutError`
+        once *timeout_s* passes with no news and the job still live.
         """
-        attempts = max(1, int(timeout_s / poll_s) + 1)
+        wait_s, attempts = self._long_polls(timeout_s)
         cursor = 0
         state = ""
-        for attempt in range(attempts):
-            page = self.events(job_id, cursor=cursor)
+        idle = 0
+        while idle < attempts:
+            page = self.events(job_id, cursor=cursor, wait_s=wait_s)
             cursor = int(page.get("cursor", cursor))
             state = str(page.get("state", ""))
-            for row in page.get("events", []):
+            rows = page.get("events", [])
+            for row in rows:
                 yield dict(row)
             if state not in ("pending", "running"):
                 return
-            if attempt + 1 < attempts:
-                time.sleep(poll_s)
+            idle = 0 if rows else idle + 1
         raise TimeoutError(
             f"job {job_id} still {state} after ~{timeout_s}s")
 
-    def wait(self, job_id: str, timeout_s: float = 120.0,
-             poll_s: float = 0.2) -> Dict[str, Any]:
-        """Poll :meth:`status` until the job leaves pending/running.
+    def wait(self, job_id: str, timeout_s: float = 120.0) -> Dict[str, Any]:
+        """Long-poll :meth:`status` until the job leaves pending/running.
 
-        Raises :class:`TimeoutError` when the budget runs out.  Bounded
-        by attempt count rather than a clock read: ``timeout_s`` is a
+        One request when the job settles inside one long-poll.  Raises
+        :class:`TimeoutError` when the budget runs out.  Bounded by
+        attempt count rather than a clock read: ``timeout_s`` is a
         budget, not a deadline, in keeping with the repo's
         no-wall-clock discipline.
         """
-        attempts = max(1, int(timeout_s / poll_s) + 1)
+        wait_s, attempts = self._long_polls(timeout_s)
         status: Dict[str, Any] = {}
-        for attempt in range(attempts):
-            status = self.status(job_id)
+        for _ in range(attempts):
+            status = self.status(job_id, wait_s=wait_s)
             if status.get("state") not in ("pending", "running"):
                 return status
-            if attempt + 1 < attempts:
-                time.sleep(poll_s)
         raise TimeoutError(
             f"job {job_id} still {status.get('state')} after ~{timeout_s}s")

@@ -3,8 +3,8 @@
 A thin, dependency-free translation layer: JSON in, JSON (or
 Prometheus text) out, every route delegating to one
 :class:`~repro.service.service.SweepService` method.  Threaded
-(``ThreadingHTTPServer``) so a slow poller never blocks a submitter;
-the service's own locks make that safe.
+(``ThreadingHTTPServer``) so a held long-poll never blocks a
+submitter; the service's own locks make that safe.
 
 Routes
 ------
@@ -20,19 +20,26 @@ Routes
     malformed payloads.
 ``GET /jobs``
     ``{"jobs": [...]}``, oldest first.
-``GET /jobs/<id>``
+``GET /jobs/<id>[?wait=S]``
     One job's status, including aggregated decode-forensics
-    ``stage_counts`` once done.  ``404`` for unknown ids.
+    ``stage_counts`` once done.  With ``wait=S`` a long-poll: the reply
+    comes as soon as the job leaves ``pending``/``running``, or with
+    the still-active status after ``S`` seconds (capped at
+    :data:`MAX_WAIT_S`, below the client's 30 s socket timeout).
+    ``400`` on a non-numeric or negative ``wait``, ``404`` for unknown
+    ids.
 ``GET /jobs/<id>/result``
     The stored result record, served as the exact bytes the store
     holds (bit-identical across cache hits).  ``409`` while the job is
     pending/running or after it failed.
-``GET /jobs/<id>/events?cursor=N``
+``GET /jobs/<id>/events?cursor=N[&wait=S]``
     Incremental progress stream: ``{"events": [...], "cursor": M,
     "state": ..., "cached": ...}`` with every journal row whose ``seq``
-    exceeds ``N``; poll again with ``cursor=M``.  A stale cursor (past
-    the end) returns no events; a cached job streams nothing (it never
-    ran).  ``400`` on a non-integer cursor, ``404`` for unknown ids.
+    exceeds ``N``; ask again with ``cursor=M``.  With ``wait=S`` (same
+    cap) an active job with no such row yet holds the reply until one
+    lands or the job settles.  A stale cursor (past the end) returns no
+    events; a cached job streams nothing (it never ran).  ``400`` on a
+    non-integer cursor or a bad ``wait``, ``404`` for unknown ids.
 ``GET /metrics``
     Prometheus text exposition of the service registry (service
     counters + folded engine/PHY metrics + live queue/job gauges and
@@ -45,17 +52,22 @@ Routes
 from __future__ import annotations
 
 import json
+import math
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.queue import JOB_STATES
 from repro.service.service import ServiceError, SweepService, UnknownJobError
 
-__all__ = ["ServiceHTTPServer", "serve"]
+__all__ = ["MAX_WAIT_S", "ServiceHTTPServer", "serve"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024  # a spec envelope is tiny; cap abuse
+
+#: Longest a ``wait=`` long-poll holds its reply, seconds: well below
+#: the client's default 30 s socket timeout.
+MAX_WAIT_S = 20.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -96,6 +108,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(400, "missing or oversized Content-Length")
             return None
         return self.rfile.read(length)
+
+    def _wait_param(self, query: Dict[str, List[str]]) -> Optional[float]:
+        """The capped ``wait=`` seconds (0 when absent), or ``None``
+        after answering ``400`` for a bad value."""
+        raw = query.get("wait", ["0"])[-1]
+        try:
+            wait_s = float(raw)
+        except ValueError:
+            wait_s = -1.0
+        if not (math.isfinite(wait_s) and wait_s >= 0):
+            self._send_error_json(
+                400, f"wait must be a number of seconds >= 0, got {raw!r}")
+            return None
+        return min(wait_s, MAX_WAIT_S)
 
     # -- routes ------------------------------------------------------------
 
@@ -146,14 +172,18 @@ class _Handler(BaseHTTPRequestHandler):
         parts = path.strip("/").split("/")
         if len(parts) >= 2 and parts[0] == "jobs":
             job_id = parts[1]
+            query = parse_qs(parsed.query)
             try:
                 if len(parts) == 2:
-                    self._send_json(200, self.service.status(job_id))
+                    wait_s = self._wait_param(query)
+                    if wait_s is None:
+                        return
+                    self._send_json(200,
+                                    self.service.status(job_id, wait_s))
                 elif len(parts) == 3 and parts[2] == "result":
                     self._send(200, self.service.raw_result(job_id))
                 elif len(parts) == 3 and parts[2] == "events":
-                    raw_cursor = parse_qs(parsed.query).get("cursor",
-                                                            ["0"])[-1]
+                    raw_cursor = query.get("cursor", ["0"])[-1]
                     try:
                         cursor = int(raw_cursor)
                     except ValueError:
@@ -161,8 +191,11 @@ class _Handler(BaseHTTPRequestHandler):
                             400, f"cursor must be an integer, "
                                  f"got {raw_cursor!r}")
                         return
-                    self._send_json(200,
-                                    self.service.events(job_id, cursor))
+                    wait_s = self._wait_param(query)
+                    if wait_s is None:
+                        return
+                    self._send_json(200, self.service.events(
+                        job_id, cursor, wait_s))
                 else:
                     self._send_error_json(
                         404, f"no such route: GET {self.path}")

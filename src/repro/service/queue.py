@@ -8,9 +8,13 @@ kinds:
 
 * ``{"kind": "job", "job_id", "seq", "fingerprint", "envelope"}`` — a
   submission, carrying the full enveloped spec so a restarted server
-  can rebuild the spec without any other state.
+  can rebuild the spec without any other state.  A cache-hit
+  submission's row also carries ``"state": "done", "cached": true``,
+  so the hit costs one journal write (one fsync).
 * ``{"kind": "state", "job_id", "state", "cached", "error"}`` — a
-  transition; the last state row per job wins.
+  transition; the last state row per job wins.  Journals written
+  before job rows could carry a state hold a cache hit as a job row
+  plus a ``done`` state row; replay reads both forms alike.
 
 Replaying the journal therefore reconstructs the exact job table, and
 :meth:`JobQueue.recover` demotes jobs that were ``running`` at the kill
@@ -22,7 +26,11 @@ order plus the monotonic ``seq``, matching the repo-wide rule that
 persisted artifacts never depend on when a run happened.
 
 All mutating methods are serialized by an internal lock: HTTP handler
-threads submit while a worker thread claims.
+threads submit while a worker thread claims.  One condition over that
+lock is notified on every change (submit, state change, claim,
+recovery, progress), so workers and waiters block on it instead of
+polling: :meth:`JobQueue.claim_next_blocking` and
+:meth:`JobQueue.wait_for`.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 __all__ = ["JobQueue", "JobRecord", "JOB_STATES"]
 
@@ -52,6 +60,10 @@ class JobRecord:
     state: str = "pending"
     cached: bool = False
     error: Optional[str] = None
+    #: Highest progress-journal ``seq`` this process has seen land for
+    #: the job (:meth:`JobQueue.note_progress`).  In memory only: never
+    #: journaled, never in :meth:`to_dict`.
+    progress_seq: int = 0
 
     @property
     def active(self) -> bool:
@@ -75,6 +87,9 @@ class JobQueue:
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
+        # Notified, with _lock held, on every change a waiter may be
+        # blocked on; see wait_for and claim_next_blocking.
+        self._changed = threading.Condition(self._lock)
         self._jobs: Dict[str, JobRecord] = {}  # guarded-by: _lock
         self._next_seq = 1  # guarded-by: _lock
         self._replay()
@@ -107,17 +122,25 @@ class JobQueue:
                     continue  # malformed row: skip, like a torn line
                 self._jobs[record.job_id] = record
                 self._next_seq = max(self._next_seq, record.seq + 1)
+                if "state" in row:
+                    self._apply_state(record, row)
             elif kind == "state":
                 record_or_none = self._jobs.get(str(row.get("job_id")))
                 if record_or_none is None:
                     continue  # state row for a job whose row was torn
-                state = row.get("state")
-                if state not in JOB_STATES:
-                    continue
-                record_or_none.state = str(state)
-                record_or_none.cached = bool(row.get("cached", False))
-                error = row.get("error")
-                record_or_none.error = None if error is None else str(error)
+                self._apply_state(record_or_none, row)
+
+    @staticmethod
+    def _apply_state(record: JobRecord, row: Dict[str, Any]) -> None:
+        """Replay one journaled state onto *record*; unknown states are
+        skipped like a torn line."""
+        state = row.get("state")
+        if state not in JOB_STATES:
+            return
+        record.state = str(state)
+        record.cached = bool(row.get("cached", False))
+        error = row.get("error")
+        record.error = None if error is None else str(error)
 
     def _append(self, row: Dict[str, Any]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -133,8 +156,8 @@ class JobQueue:
         """Journal a new job and return its record.
 
         The job is ``pending``, or with *cached* born ``done``/cached in
-        the same critical section, so no worker can claim a job whose
-        result is already stored.
+        the same critical section and the same journal row, so no
+        worker can claim a job whose result is already stored.
         """
         with self._lock:
             seq = self._next_seq
@@ -142,15 +165,15 @@ class JobQueue:
             record = JobRecord(job_id=f"job-{seq:06d}", seq=seq,
                                fingerprint=fingerprint,
                                envelope=dict(envelope))
-            self._jobs[record.job_id] = record
-            self._append({"kind": "job", "job_id": record.job_id,
-                          "seq": seq, "fingerprint": fingerprint,
-                          "envelope": record.envelope})
+            row: Dict[str, Any] = {"kind": "job", "job_id": record.job_id,
+                                   "seq": seq, "fingerprint": fingerprint,
+                                   "envelope": record.envelope}
             if cached:
                 record.state, record.cached = "done", True
-                self._append({"kind": "state", "job_id": record.job_id,
-                              "state": "done", "cached": True,
-                              "error": None})
+                row.update(state="done", cached=True)
+            self._jobs[record.job_id] = record
+            self._append(row)
+            self._changed.notify_all()
             return record
 
     def set_state(self, job_id: str, state: str, *, cached: bool = False,
@@ -165,19 +188,66 @@ class JobQueue:
             record.error = error
             self._append({"kind": "state", "job_id": job_id, "state": state,
                           "cached": cached, "error": error})
+            self._changed.notify_all()
             return record
+
+    def _claim_oldest(self) -> Optional[JobRecord]:  # reprolint: holds(_lock)
+        pending = [r for r in self._jobs.values() if r.state == "pending"]
+        if not pending:
+            return None
+        record = min(pending, key=lambda r: r.seq)
+        record.state = "running"
+        self._append({"kind": "state", "job_id": record.job_id,
+                      "state": "running", "cached": False, "error": None})
+        self._changed.notify_all()
+        return record
 
     def claim_next(self) -> Optional[JobRecord]:
         """Atomically take the oldest pending job (marking it running)."""
         with self._lock:
-            for record in sorted(self._jobs.values(), key=lambda r: r.seq):
-                if record.state == "pending":
-                    record.state = "running"
-                    self._append({"kind": "state", "job_id": record.job_id,
-                                  "state": "running", "cached": False,
-                                  "error": None})
+            return self._claim_oldest()
+
+    def claim_next_blocking(self, stopped: Callable[[], bool]
+                            ) -> Optional[JobRecord]:
+        """Like :meth:`claim_next`, but block while no job is pending.
+
+        Returns ``None`` only once ``stopped()`` is true.  *stopped* is
+        evaluated with the queue lock held, so whoever makes it true
+        must call :meth:`notify` afterwards to wake a blocked claimer.
+        """
+        with self._lock:
+            while not stopped():
+                record = self._claim_oldest()
+                if record is not None:
                     return record
+                self._changed.wait()
             return None
+
+    def note_progress(self, job_id: str, seq: int) -> None:
+        """Record that progress row *seq* of *job_id* landed and wake
+        the waiters (an events long-poll blocks on it)."""
+        with self._lock:
+            record = self._jobs.get(job_id)
+            if record is not None:
+                record.progress_seq = max(record.progress_seq, int(seq))
+            self._changed.notify_all()
+
+    def notify(self) -> None:
+        """Wake every waiter so it re-evaluates its predicate."""
+        with self._lock:
+            self._changed.notify_all()
+
+    def wait_for(self, predicate: Callable[[], bool],
+                 timeout_s: Optional[float] = None) -> bool:
+        """Block until ``predicate()`` holds or *timeout_s* passes;
+        returns the predicate's last value.
+
+        *predicate* runs with the queue lock held (it is re-evaluated
+        after every change), so it may read :class:`JobRecord` fields
+        directly but must not call back into the queue.
+        """
+        with self._lock:
+            return self._changed.wait_for(predicate, timeout_s)
 
     def recover(self) -> List[JobRecord]:
         """Demote killed-while-running jobs back to pending.
@@ -195,6 +265,7 @@ class JobQueue:
                                   "state": "pending", "cached": False,
                                   "error": None})
                     requeued.append(record)
+            self._changed.notify_all()
         return requeued
 
     # -- reading -----------------------------------------------------------

@@ -13,9 +13,10 @@ warm, cache-aware compute tier:
   envelope never fork the cache, so a cache hit explicitly warns when
   it cannot regenerate requested run-scoped artifacts (see
   :meth:`SweepService.submit_record`).
-* **Execution** happens on background worker threads that claim jobs
-  FIFO and drive the engine through its reusable orchestration layer
-  (:func:`repro.sim.engine.execute_run`) with a per-fingerprint
+* **Execution** happens on background worker threads that block on the
+  queue's change condition, claim jobs FIFO the moment one is
+  submitted, and drive the engine through its reusable orchestration
+  layer (:func:`repro.sim.engine.execute_run`) with a per-fingerprint
   checkpoint journal, so killing the server mid-job loses nothing: on
   restart the queue journal restores the job and the engine checkpoint
   restores its completed points, and the finished result is
@@ -64,11 +65,7 @@ from repro.sim.engine import (
     spec_fingerprint,
 )
 
-__all__ = ["SweepService", "ServiceError", "UnknownJobError",
-           "DEFAULT_POLL_S"]
-
-#: How long an idle worker sleeps between queue polls, seconds.
-DEFAULT_POLL_S = 0.05
+__all__ = ["SweepService", "ServiceError", "UnknownJobError"]
 
 
 class ServiceError(RuntimeError):
@@ -110,8 +107,7 @@ class SweepService:
     def __init__(self, root: Union[str, os.PathLike], n_jobs: int = 1,
                  n_workers: int = 1,
                  failure_policy: Optional[FailurePolicy] = None,
-                 trace: Optional[TraceConfig] = None,
-                 poll_s: float = DEFAULT_POLL_S) -> None:
+                 trace: Optional[TraceConfig] = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.root = Path(root)
@@ -122,7 +118,6 @@ class SweepService:
         self.n_jobs = int(n_jobs)
         self.n_workers = int(n_workers)
         self.failure_policy = failure_policy
-        self.poll_s = float(poll_s)
         self.metrics = MetricsRegistry(trace=trace)  # guarded-by: _metrics_lock
         self._metrics_lock = threading.Lock()
         self._stop = threading.Event()
@@ -132,6 +127,11 @@ class SweepService:
         # service.job.age_seconds gauge.  In-memory only (never
         # persisted): after a restart, ages restart from recovery time.
         self._active_since: Dict[str, float] = {}  # guarded-by: _metrics_lock
+        # Per-fingerprint status summary of a stored result (stage
+        # counts, task and packet totals), so status() of a done job
+        # never re-parses the stored record.
+        self._summaries: Dict[str, Dict[str, Any]] = {}  # guarded-by: _summary_lock
+        self._summary_lock = threading.Lock()
         for _ in self.queue.recover():
             self._inc("service.jobs.recovered")
         for job in self.queue.jobs():
@@ -281,6 +281,10 @@ class SweepService:
             self.queue.set_state(job.job_id, "done", cached=True)
             self._note_settled(job.job_id)
             return
+
+        def _landed(row: Dict[str, Any]) -> None:
+            self.queue.note_progress(job.job_id, int(row["seq"]))
+
         try:
             spec = load_spec(job.envelope, warn_legacy=False)
             options = RunOptions(
@@ -288,7 +292,7 @@ class SweepService:
                 checkpoint=str(self.checkpoint_path(job.fingerprint)),
                 expect_fingerprint=job.fingerprint,
                 progress_path=str(self.progress_path(job.job_id)))
-            result = execute_run(spec, options)
+            result = execute_run(spec, options, progress=_landed)
         except (EngineError, ValueError, OSError) as exc:
             # EngineError: the job's sweep failed (fail-fast task
             # failure, fingerprint mismatch); ValueError: a corrupt
@@ -321,15 +325,18 @@ class SweepService:
             self._note_settled(job.job_id)
             return
         self.store.put(result)
+        self._remember_summary(job.fingerprint, result)
         self._inc("service.cache.stores")
         self._inc("service.jobs.completed")
         self.queue.set_state(job.job_id, "done")
         self._note_settled(job.job_id)
 
     def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            if not self.step():
-                self._stop.wait(self.poll_s)
+        while True:
+            job = self.queue.claim_next_blocking(self._stop.is_set)
+            if job is None:
+                return
+            self._run_job(job)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -350,9 +357,12 @@ class SweepService:
 
         An in-flight job finishes its current engine run first (its
         points are checkpointed either way, so even a hard kill here
-        only costs the tail of the sweep).
+        only costs the tail of the sweep).  Idle workers and every
+        blocked :meth:`wait`, :meth:`status` or :meth:`events` wake at
+        once.
         """
         self._stop.set()
+        self.queue.notify()
         for thread in self._threads:
             thread.join(timeout=timeout_s)
         self._threads = []
@@ -371,33 +381,66 @@ class SweepService:
             raise UnknownJobError(job_id)
         return job
 
-    def status(self, job_id: str) -> Dict[str, Any]:
+    def _remember_summary(self, fingerprint: str, result: RunResult
+                          ) -> Dict[str, Any]:
+        stage_counts: Dict[str, int] = {}
+        for task in result.tasks:
+            for stage, count in task.stage_counts.items():
+                stage_counts[stage] = stage_counts.get(stage, 0) + int(count)
+        summary = {"stage_counts": stage_counts, "n_tasks": result.n_tasks,
+                   "n_failed": result.n_failed,
+                   "packets_simulated": result.packets_simulated}
+        with self._summary_lock:
+            self._summaries[fingerprint] = summary
+        return summary
+
+    def _summary(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """The stored result's status summary; a record stored by an
+        earlier process is parsed once, on first read."""
+        with self._summary_lock:
+            summary = self._summaries.get(fingerprint)
+        if summary is None:
+            result = self.store.get(fingerprint)
+            if result is None:
+                return None
+            summary = self._remember_summary(fingerprint, result)
+        return summary
+
+    def _wait_over(self, job: JobRecord) -> bool:
+        # A wait predicate, run with the queue lock held: the job has
+        # settled, or it is pending on a stopped service, where no
+        # worker will claim it.  A running job still settles after
+        # stop(), which lets the in-flight run finish.
+        return not job.active or (job.state == "pending"
+                                  and self._stop.is_set())
+
+    def status(self, job_id: str, wait_s: float = 0.0) -> Dict[str, Any]:
         """One job's public status, including decode forensics once done.
 
         The ``stage_counts`` field aggregates the per-task forensic
         stage counters (sync/header/fec/crc/ok) of the stored result.
+        With *wait_s* > 0 this is a long-poll: it answers as soon as
+        the job leaves ``pending``/``running`` (or stays pending on a
+        stopped service), else with the still-active status once
+        *wait_s* seconds pass.
         """
         job = self._job(job_id)
+        if wait_s > 0:
+            self.queue.wait_for(lambda: self._wait_over(job), wait_s)
         payload = job.to_dict()
         if job.state == "done":
-            result = self.store.get(job.fingerprint)
-            if result is not None:
-                stage_counts: Dict[str, int] = {}
-                for task in result.tasks:
-                    for stage, count in task.stage_counts.items():
-                        stage_counts[stage] = \
-                            stage_counts.get(stage, 0) + int(count)
-                payload["stage_counts"] = stage_counts
-                payload["n_tasks"] = result.n_tasks
-                payload["n_failed"] = result.n_failed
-                payload["packets_simulated"] = result.packets_simulated
+            summary = self._summary(job.fingerprint)
+            if summary is not None:
+                payload.update(summary,
+                               stage_counts=dict(summary["stage_counts"]))
         return payload
 
     def jobs(self) -> List[Dict[str, Any]]:
         """Every job's bare record, oldest first."""
         return [job.to_dict() for job in self.queue.jobs()]
 
-    def events(self, job_id: str, cursor: int = 0) -> Dict[str, Any]:
+    def events(self, job_id: str, cursor: int = 0,
+               wait_s: float = 0.0) -> Dict[str, Any]:
         """Progress rows for *job_id* with ``seq > cursor``, plus the
         next cursor to poll with.
 
@@ -406,15 +449,27 @@ class SweepService:
         final rows — a follower can stop on it without losing the tail.
         Stale cursors (past the end) just return no events and echo the
         cursor back; cached jobs never ran, so they have no journal and
-        stream nothing.
+        stream nothing.  With *wait_s* > 0 an empty page of an active
+        job is a long-poll: it answers as soon as a row with
+        ``seq > cursor`` lands or the job settles, else after *wait_s*
+        seconds with no events.
         """
         job = self._job(job_id)
+        cursor = int(cursor)
+        page = self._events_page(job, cursor)
+        if wait_s > 0 and not page["events"] and job.active:
+            self.queue.wait_for(
+                lambda: (self._wait_over(job)
+                         or job.progress_seq > cursor), wait_s)
+            page = self._events_page(job, cursor)
+        return page
+
+    def _events_page(self, job: JobRecord, cursor: int) -> Dict[str, Any]:
         state = job.state
-        rows = read_progress(str(self.progress_path(job_id)),
-                             after=int(cursor))
-        next_cursor = max([int(cursor)]
-                          + [int(r.get("seq", 0)) for r in rows])
-        return {"job_id": job_id, "state": state, "cached": job.cached,
+        rows = read_progress(str(self.progress_path(job.job_id)),
+                             after=cursor)
+        next_cursor = max([cursor] + [int(r.get("seq", 0)) for r in rows])
+        return {"job_id": job.job_id, "state": state, "cached": job.cached,
                 "cursor": next_cursor, "events": rows}
 
     def result(self, job_id: str) -> RunResult:
@@ -450,25 +505,22 @@ class SweepService:
                 f"({job.fingerprint}) is missing from the store")
         return raw
 
-    def wait(self, job_id: str, timeout_s: float = 60.0,
-             poll_s: Optional[float] = None) -> JobRecord:
+    def wait(self, job_id: str, timeout_s: float = 60.0) -> JobRecord:
         """Block until *job_id* leaves the active states.
 
-        Polling, not event-driven, on purpose: it works identically on
-        a restarted service where the job predates this process.
-        Raises :class:`TimeoutError` when the budget runs out.
+        Event-driven: blocks on the queue's change condition, so it
+        returns the moment a worker settles the job.  A job that
+        predates this process (a restarted service) needs nothing
+        special: replay rebuilt its record and this process's workers
+        settle it through the same condition.  Raises
+        :class:`TimeoutError` when the budget runs out, or at once when
+        :meth:`stop` leaves the job pending.
         """
-        interval = self.poll_s if poll_s is None else float(poll_s)
-        attempts = max(1, int(timeout_s / interval) + 1)
-        for _ in range(attempts):
-            job = self._job(job_id)
-            if not job.active:
-                return job
-            # Event.wait, not time.sleep: stop() wakes waiters early.
-            if self._stop.wait(interval) and not self._threads:
-                break
         job = self._job(job_id)
+        self.queue.wait_for(lambda: self._wait_over(job), timeout_s)
         if job.active:
+            reason = ("the service stopped" if self._stop.is_set()
+                      else f"{timeout_s}s")
             raise TimeoutError(
-                f"job {job_id} still {job.state} after {timeout_s}s")
+                f"job {job_id} still {job.state} after {reason}")
         return job

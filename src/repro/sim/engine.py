@@ -1313,9 +1313,17 @@ class RunOptions:
 
 
 def execute_run(spec: Spec, options: Optional[RunOptions] = None,
-                fault_injector: Optional[FaultInjector] = None) -> RunResult:
+                fault_injector: Optional[FaultInjector] = None,
+                progress: Optional[Callable[[Dict[str, Any]], None]] = None
+                ) -> RunResult:
     """Execute *spec* under *options*: the shared entry point behind the
-    CLI's one-shot commands and the sweep service's workers."""
+    CLI's one-shot commands and the sweep service's workers.
+
+    *progress*, an in-process callable like *fault_injector*, receives
+    every progress row; with ``options.progress_path`` it is called
+    after the row is in the journal, with the row's journal ``seq``
+    added (the sweep service wakes its events long-polls on it).
+    """
     from repro.obs.progress import ProgressJournal
 
     options = options or RunOptions()
@@ -1324,20 +1332,22 @@ def execute_run(spec: Spec, options: Optional[RunOptions] = None,
                               fault_injector=fault_injector,
                               trace=options.trace)
     journal: Optional[ProgressJournal] = None
-    progress: Optional[Callable[[Dict[str, Any]], None]] = None
+    emit = progress
     if options.progress_path is not None:
         journal = ProgressJournal(options.progress_path)
 
         def _emit(row: Dict[str, Any], _journal: ProgressJournal = journal
                   ) -> None:
-            _journal.append(row)
+            seq = _journal.append(row)
+            if progress is not None:
+                progress(dict(row, seq=seq))
 
-        progress = _emit
+        emit = _emit
     try:
         return engine.run(spec, checkpoint=options.checkpoint,
                           trace_path=options.trace_path,
                           expect_fingerprint=options.expect_fingerprint,
-                          progress=progress)
+                          progress=emit)
     finally:
         if journal is not None:
             journal.close()
