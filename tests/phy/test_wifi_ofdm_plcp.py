@@ -8,6 +8,7 @@ from repro.phy.wifi.ofdm import (
     OfdmModulator,
     PILOT_POLARITY,
     PILOT_SUBCARRIERS,
+    _unit_phasors,
 )
 from repro.phy.wifi.plcp import (
     build_ppdu_bits,
@@ -74,6 +75,29 @@ class TestOfdmRoundTrip:
     def test_wrong_sample_count_raises(self):
         with pytest.raises(ValueError):
             OfdmModulator().demodulate_symbol(np.zeros(40, complex), 0)
+
+
+class TestPilotNormalisation:
+    def test_bit_identical_to_python_complex_division(self, rng):
+        # The reference is the scalar path's ``p / abs(p)`` per phasor,
+        # over magnitudes 1e-3..1e3 plus zeros, signed zeros and
+        # subnormals, the values where a vectorised form could round
+        # differently.
+        n = 20_000
+        raw = 10 ** rng.uniform(-3, 3, n) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, n))
+        edge = [0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                complex(-0.0, -0.0), complex(5e-324, 0.0),
+                complex(-0.0, 3e-320), complex(1e-310, -2e-310),
+                complex(-2.0, -0.0), complex(0.0, 7.5)]
+        raw[:len(edge)] = edge
+        raw = raw.reshape(100, 200)
+        want = np.array([p / abs(p) if p != 0 else 1.0 + 0j
+                         for p in map(complex, raw.ravel())])
+        got = _unit_phasors(raw)
+        assert got.shape == raw.shape
+        assert np.array_equal(got.ravel().view(np.uint64),
+                              want.view(np.uint64))
 
 
 class TestSignalField:
