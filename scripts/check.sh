@@ -27,6 +27,16 @@ git diff --exit-code benchmarks/results
 echo "== perf smoke =="
 python -m repro bench --smoke --no-history
 python -m pytest -q perfbench
+# The service workload end to end (long-polls included); correctness
+# only, never speed.
+python3 perfbench/run.py --workload service-traffic --seed 1 \
+    --seconds 5 --trace 0 | tail -n 1 | python -c '
+import json, sys
+line = json.load(sys.stdin)
+assert line["correct"] is True, line
+assert line["failed"] == 0, line
+print("service-traffic ok:", line["attempted"], "operations")
+'
 
 echo "== sweep service smoke =="
 python -m pytest -x -q tests/service
