@@ -37,6 +37,16 @@ assert line["correct"] is True, line
 assert line["failed"] == 0, line
 print("service-traffic ok:", line["attempted"], "operations")
 '
+# The figure sweeps at n_jobs=1, through the linksim phase-1 producer;
+# correctness only, never speed.
+python3 perfbench/run.py --workload paper-figures --seed 1 \
+    --seconds 5 --trace 0 | tail -n 1 | python -c '
+import json, sys
+line = json.load(sys.stdin)
+assert line["correct"] is True, line
+assert line["failed"] == 0, line
+print("paper-figures ok:", line["attempted"], "operations")
+'
 
 echo "== sweep service smoke =="
 python -m pytest -x -q tests/service

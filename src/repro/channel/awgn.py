@@ -56,15 +56,17 @@ def awgn_predraw(signal: np.ndarray, snr_db: float,
 
 
 def awgn_apply_batch(signals: np.ndarray, sigmas: np.ndarray,
-                     z_re: np.ndarray, z_im: np.ndarray) -> np.ndarray:
+                     z_re: np.ndarray, z_im: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Phase 2: apply pre-drawn noise to a (B, N) signal stack.
 
     The broadcast multiply and elementwise complex add perform exactly
     the scalar path's per-element operations, so every row is
-    bit-identical to ``awgn_at_snr`` on that row alone.
+    bit-identical to ``awgn_at_snr`` on that row alone.  *out*, a
+    complex (B, N) array, receives the result instead of a new array.
     """
     scale = np.asarray(sigmas, dtype=float)[:, None]
-    return signals + (scale * z_re + 1j * (scale * z_im))
+    return np.add(signals, scale * z_re + 1j * (scale * z_im), out=out)
 
 
 def snr_from_powers(signal_dbm: float, noise_dbm: float) -> float:

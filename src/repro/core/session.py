@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,10 +123,10 @@ class PacketDraw:
     ``result`` is set when a pre-decode gate already decided the packet
     (envelope miss, sync miss); such draws carry no waveform.  Between
     the two phases a pending draw holds only its standard-normal noise
-    draws (``z_re``/``z_im``) and the bits to modulate: the tag
-    modulation, power measurement, and noise scale are all deferred to
-    ``channel_packets``, which runs them over stacked arrays and fills
-    in ``sigma`` and ``noisy``.
+    draws (``z``: real parts in row 0, imaginary parts in row 1) and the
+    bits to modulate: the tag modulation, power measurement, and noise
+    scale are all deferred to ``channel_packets``, which runs them over
+    stacked arrays and fills in ``sigma`` and ``noisy``.
     """
 
     excitation: Excitation
@@ -137,8 +137,36 @@ class PacketDraw:
     noise_var: float = 0.0              # receiver noise estimate (WiFi)
     snr_db: float = 0.0                 # link SNR, for forensic events
     sigma: float = 0.0                  # per-component noise std dev
-    z_re: Optional[np.ndarray] = None   # standard-normal draws, real part
-    z_im: Optional[np.ndarray] = None   # standard-normal draws, imag part
+    z: Optional[np.ndarray] = None      # (2, N) standard normals: re, im
+
+
+def _stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.stack(rows)``, as a view when *rows* are consecutive rows of
+    one array.
+
+    The link simulator draws a point's noise into one buffer and
+    ``channel_packets`` writes a chunk's noisy waveforms into one
+    array, so the stack a batch kernel wants is usually in memory
+    already; slicing it saves a copy of the whole chunk.
+    """
+    first = rows[0]
+    if len(rows) == 1:
+        return first[None]
+    base = first.base
+    if (isinstance(base, np.ndarray) and base.ndim == first.ndim + 1
+            and base.shape[1:] == first.shape
+            and base.strides[1:] == first.strides):
+        stride = base.strides[0]
+        origin = base.__array_interface__["data"][0]
+        offset = first.__array_interface__["data"][0] - origin
+        start = offset // stride
+        if offset == start * stride and all(
+                row.base is base and row.shape == first.shape
+                and row.__array_interface__["data"][0]
+                == origin + (start + k) * stride
+                for k, row in enumerate(rows)):
+            return base[start:start + len(rows)]
+    return np.stack(rows)
 
 
 def _record_stage(obs_prefix: str, stage: str, snr_db: float,
@@ -201,13 +229,21 @@ class _BatchPacketMixin:
     def predraw_packet(self, snr_db: float, tag_bits: Any = None,
                        incident_power_dbm: Optional[float] = None,
                        rng: Optional[np.random.Generator] = None,
-                       excitation: Optional[Excitation] = None) -> PacketDraw:
+                       excitation: Optional[Excitation] = None,
+                       noise_out: Optional[np.ndarray] = None
+                       ) -> PacketDraw:
         """Every RNG draw of one packet, in exactly the scalar order
         (tag bits, envelope gate, sync gate, AWGN normals).  The noise
         is *drawn* but not yet *applied* — and the tag modulation is
         deferred entirely: hand the result (alone or stacked with
         others) to :meth:`channel_packets`, which runs the control
-        waveforms, power measurement, and noise as stacked arrays."""
+        waveforms, power measurement, and noise as stacked arrays.
+
+        *noise_out*, a float ``(2, N)`` array for the excitation's N
+        samples, receives the normals instead of a fresh array; a
+        caller drawing many packets hands in consecutive rows of one
+        buffer so ``channel_packets`` can use it without stacking.  It
+        is left untouched when a gate decides the packet first."""
         gen = make_rng(rng if rng is not None else self._rng)
         if excitation is None:
             excitation = self.make_excitation()
@@ -235,10 +271,16 @@ class _BatchPacketMixin:
         with obs.timed(self._obs + ".channel",
                        hist=self._obs + ".channel.seconds"):
             n = info.total_samples
-            z_re, z_im = gen.standard_normal(n), gen.standard_normal(n)
+            z = np.empty((2, n)) if noise_out is None else noise_out
+            if z.shape != (2, n):
+                raise ValueError(
+                    f"noise_out must have shape (2, {n}), got {z.shape}")
+            # Row 0 then row 1: the same stream as two
+            # standard_normal(n) calls.
+            gen.standard_normal(out=z)
         return PacketDraw(excitation, int(send.size), send, None,
                           noise_var=self._noise_var(snr_db), snr_db=snr_db,
-                          z_re=z_re, z_im=z_im)
+                          z=z)
 
     def channel_packets(self,
                         draws: Sequence[PacketDraw]) -> List[PacketDraw]:
@@ -260,6 +302,17 @@ class _BatchPacketMixin:
             by_exc: "OrderedDict[int, List[PacketDraw]]" = OrderedDict()
             for d in pending:
                 by_exc.setdefault(id(d.excitation), []).append(d)
+            # One output array per waveform length, filled group by
+            # group, so a decode stack over these draws (the usual
+            # chunk: one excitation per point, or one per packet) is a
+            # slice of it rather than a copy.
+            rows: Dict[int, int] = {}
+            for members in by_exc.values():
+                n = members[0].excitation.info.total_samples
+                rows[n] = rows.get(n, 0) + len(members)
+            outs = {n: np.empty((b, n), dtype=complex)
+                    for n, b in rows.items()}
+            used = dict.fromkeys(rows, 0)
             for members in by_exc.values():
                 exc = members[0].excitation
                 frame, info = exc.frame, exc.info
@@ -284,15 +337,17 @@ class _BatchPacketMixin:
                     d.sigma = float(np.sqrt(noise_power / 2))
                 # AWGN per excitation group: scale-and-add is elementwise
                 # per row, so grouping is free to follow the stacks we
-                # already have — re-stacking by sample length would only
-                # buy a concatenate copy of the largest matrix.
-                noisy = awgn_apply_batch(
+                # already have.
+                a = used[info.total_samples]
+                used[info.total_samples] += len(members)
+                noisy = outs[info.total_samples][a:a + len(members)]
+                z = _stack_rows([d.z for d in members])
+                awgn_apply_batch(
                     clean, np.array([d.sigma for d in members]),
-                    np.stack([d.z_re for d in members]),
-                    np.stack([d.z_im for d in members]))
+                    z[:, 0], z[:, 1], out=noisy)
                 for k, d in enumerate(members):
                     d.noisy = noisy[k]
-                    d.z_re = d.z_im = None
+                    d.z = None
         return list(draws)
 
     def draw_packet(self, snr_db: float, tag_bits: Any = None,
@@ -612,7 +667,7 @@ class WifiBackscatterSession(_BatchPacketMixin):
         return self.receiver.decode(draw.noisy, noise_var=draw.noise_var)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = _stack_rows([d.noisy for d in draws])
         noise_vars = np.array([d.noise_var for d in draws])
         return self.receiver.decode_batch(waveforms, noise_vars)
 
@@ -736,7 +791,7 @@ class ZigbeeBackscatterSession(_BatchPacketMixin):
                                     draw.excitation.frame.n_symbols)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = _stack_rows([d.noisy for d in draws])
         return self.receiver.decode_batch(
             waveforms, draws[0].excitation.frame.n_symbols)
 
@@ -832,7 +887,7 @@ class BleBackscatterSession(_BatchPacketMixin):
                                          draw.excitation.frame.n_bits)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = _stack_rows([d.noisy for d in draws])
         rows = self.receiver.decode_bits_batch(
             waveforms, draws[0].excitation.frame.n_bits)
         return list(rows)
@@ -932,7 +987,7 @@ class DsssBackscatterSession(_BatchPacketMixin):
                                     draw.excitation.frame.n_bits)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = _stack_rows([d.noisy for d in draws])
         return self.receiver.decode_batch(
             waveforms, draws[0].excitation.frame.n_bits)
 
@@ -1061,7 +1116,7 @@ class QuaternaryWifiSession(_BatchPacketMixin):
         return self.receiver.decode(draw.noisy, noise_var=draw.noise_var)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = _stack_rows([d.noisy for d in draws])
         noise_vars = np.array([d.noise_var for d in draws])
         return self.receiver.decode_batch(waveforms, noise_vars)
 

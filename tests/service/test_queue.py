@@ -140,3 +140,26 @@ class TestRecover:
 
     def test_job_states_constant(self):
         assert JOB_STATES == ("pending", "running", "done", "failed")
+
+
+class TestEnvelopeLifetime:
+    def test_settled_jobs_drop_their_envelope(self, tmp_path):
+        q = queue_at(tmp_path)
+        done = q.submit(ENVELOPE, "aaaa")
+        failed = q.submit(ENVELOPE, "bbbb")
+        hit = q.submit(ENVELOPE, "cccc", cached=True)
+        running = q.submit(ENVELOPE, "dddd")
+        pending = q.submit(ENVELOPE, "eeee")
+        q.set_state(done.job_id, "done")
+        q.set_state(failed.job_id, "failed", error="boom")
+        q.set_state(running.job_id, "running")
+        for queue in (q, queue_at(tmp_path)):
+            assert queue.get(done.job_id).envelope == {}
+            assert queue.get(failed.job_id).envelope == {}
+            assert queue.get(hit.job_id).envelope == {}
+            assert queue.get(running.job_id).envelope == ENVELOPE
+            assert queue.get(pending.job_id).envelope == ENVELOPE
+        # The journal keeps every envelope for restarts.
+        rows = [json.loads(line) for line in q.path.read_text().splitlines()]
+        assert [r["envelope"] for r in rows if r["kind"] == "job"] \
+            == [ENVELOPE] * 5
