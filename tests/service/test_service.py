@@ -307,6 +307,19 @@ class TestProgressEvents:
         assert resumed["events"] == []
         assert resumed["cursor"] == page["cursor"]
 
+    def test_followed_job_drops_its_reader_when_it_settles(
+            self, tmp_path, link_spec):
+        # A follower that stops after one page of an active job must
+        # not leave the job's incremental reader cached.
+        svc = SweepService(tmp_path / "svc")
+        job = svc.submit(link_spec)
+        svc.events(job.job_id)
+        assert list(svc._tails) == [job.job_id]
+        svc.step()
+        assert svc._tails == {}
+        assert svc.events(job.job_id)["events"]
+        assert svc._tails == {}
+
     def test_stale_cursor_is_safe(self, tmp_path, link_spec):
         svc = SweepService(tmp_path / "svc")
         job = svc.submit(link_spec)
